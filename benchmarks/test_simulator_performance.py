@@ -28,10 +28,12 @@ from repro.bench import bench_workloads
 #: Minimum accepted throughput (tasks per wall-clock second) per workload.
 #: ``matmul16`` ran at ~500 tasks/s before the fast dispatch path landed;
 #: the indexed/memoized simulator clears 3x that with margin to spare.
-#: ``plain_replay`` guards the batched event core: its floor sits at 6x
-#: the legacy 1500 tasks/s guard (measured rates clear 15,000 — see
+#: ``plain_replay``, a zero-latency dependency-only replay, guards the
+#: event core and dispatch loop: its floor sits at 6x the legacy 1500
+#: tasks/s guard (measured rates clear 15,000 — see
 #: ``docs/performance.md`` — but CI machines are noisy and a floor trip
-#: should mean a real regression, e.g. the batched drain disengaging).
+#: should mean a real regression, e.g. per-task bookkeeping sliding back
+#: to dicts).
 RATE_FLOORS = {
     "matmul16": 1500,
     "kmeans_deep": 1500,

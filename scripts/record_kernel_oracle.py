@@ -5,8 +5,8 @@ Runs every cell of the kernel corpus (``tests/kernel_corpus.py``) and
 writes the trace digests to ``tests/golden/kernel_oracle_digests.json``.
 
 The checked-in digests were originally recorded under the legacy
-``reference`` event kernel, immediately before its removal; they are the
-frozen oracle the batched kernel is differentially tested against.
+``reference`` event core, immediately before its removal; they are the
+frozen oracle the simulator is differentially tested against.
 Re-record them only when a change is **meant** to alter execution
 behaviour — never to paper over an unexplained digest mismatch:
 

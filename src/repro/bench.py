@@ -87,10 +87,10 @@ def plain_replay_config() -> RuntimeConfig:
     """The zero-overhead cluster the replay benchmarks run against.
 
     Scheduling latency and locality scan cost are zeroed so the
-    measurement isolates the simulator kernel itself — dependency
-    resolution, scheduling decisions and the event core — which is the
-    path the batched kernel accelerates (and the one the ``>= 15,000``
-    tasks/s floor guards).
+    measurement isolates the simulator itself — dependency resolution,
+    scheduling decisions and the event core, with every decision over a
+    ready batch landing on one simulated instant (the path the
+    ``plain_replay`` tasks/s floor guards).
     """
     import dataclasses
 
@@ -116,8 +116,8 @@ def build_plain_replay(
     Tasks carry seeded serial-compute costs (drawn from a small palette,
     so the cost-model memo stays bounded at million-task scale) and move
     no data: every event the run produces comes from scheduling and
-    compute, making this the purest replay measurement of the simulator
-    kernel.  Each task depends on two distinct tasks of the previous
+    compute, making this a zero-latency dependency-only replay of the
+    simulator core.  Each task depends on two distinct tasks of the previous
     level; edge sampling is vectorized so DAG construction keeps up with
     million-task shapes (construction is outside the timed region
     regardless).
@@ -213,7 +213,7 @@ def bench_workloads() -> tuple[BenchWorkload, ...]:
             name="plain_replay",
             description=(
                 "dependency-only 128-wide/80-deep DAG on the zero-latency "
-                "cluster (batched-kernel hot path)"
+                "cluster"
             ),
             build=lambda runtime: build_plain_replay(runtime, 128, 80),
             make_config=plain_replay_config,
@@ -290,14 +290,14 @@ def render_report(report: dict) -> str:
 #: instances (``width x depth/workers`` each) and fans them out over a
 #: :class:`~repro.core.shard.ShardPool`, reporting the *aggregate* rate
 #: (total tasks over batch wall-clock).  Base floors are conservative
-#: versus the measured batched-kernel rates so CI noise does not trip
-#: them, but an order-of-magnitude regression — the batched drain
-#: disengaging, or the bookkeeping sliding back to per-task dicts —
-#: still fails reliably.  Sharded floors are additionally scaled by the
+#: versus the measured zero-latency replay rates so CI noise does not
+#: trip them, but an order-of-magnitude regression — the event core or
+#: the bookkeeping sliding back to per-task dicts — still fails
+#: reliably.  Sharded floors are additionally scaled by the
 #: machine's core count (:func:`_sharded_floor`), because aggregate
 #: throughput cannot exceed one in-process rate on a single core.
 #: Width 125 keeps the DAG just under the 8-node cluster's 128 concurrent
-#: tasks, so drained rounds empty the ready set instead of ending in a
+#: tasks, so dispatch rounds empty the ready set instead of ending in a
 #: full saturated-node scan per round.
 SCALE_CELLS = (
     ("scale_100k", 125, 800, 1, 8000.0),

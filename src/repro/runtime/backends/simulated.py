@@ -73,7 +73,6 @@ from repro.runtime.locality import LocalityIndex
 from repro.runtime.scheduler import Scheduler, SchedulingPolicy, make_scheduler
 from repro.runtime.task import Task
 from repro.sim import (
-    KERNELS,
     Process,
     SimEvent,
     Simulator,
@@ -238,7 +237,6 @@ class SimulatedExecutor:
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
-        kernel: str = "batched",
     ) -> None:
         if cpu_threads < 1:
             raise ValueError("cpu_threads must be >= 1")
@@ -249,17 +247,6 @@ class SimulatedExecutor:
         if cpu_threads > cluster_spec.node.cpu.cores_per_node:
             raise ValueError(
                 "cpu_threads cannot exceed the cores of one node"
-            )
-        if kernel not in KERNELS:
-            if kernel == "reference":
-                raise ValueError(
-                    "the legacy 'reference' simulation kernel was removed; "
-                    "the batched kernel is differentially pinned against its "
-                    "recorded traces (tests/golden/kernel_oracle_digests.json). "
-                    "Use sim_kernel='batched'."
-                )
-            raise ValueError(
-                f"unknown simulation kernel {kernel!r}; expected one of {KERNELS}"
             )
         if fault_plan is not None:
             for fault in fault_plan.node_faults:
@@ -299,12 +286,6 @@ class SimulatedExecutor:
         #: dependencies, or stranded without schedulable nodes); set by
         #: :meth:`execute`.
         self.failed_task_ids: tuple[int, ...] = ()
-        #: Event-core implementation (``repro.sim.KERNELS``): "batched" —
-        #: the flat event heap, the fast processor-sharing settle path,
-        #: and — when the run qualifies — batched ready-set dispatch.
-        #: The legacy "reference" kernel was removed; its recorded traces
-        #: remain the differential oracle.
-        self.kernel = kernel
         self.cost_model = CostModel(cluster_spec)
 
     def _jitter(self, duration: float) -> float:
@@ -371,7 +352,7 @@ class SimulatedExecutor:
         self._precheck_memory(graph)
         self._rng = _np.random.default_rng(self.jitter_seed)
         self._warmed_cores: set[tuple[int, int]] = set()
-        self.sim = Simulator(kernel=self.kernel)
+        self.sim = Simulator()
         self.cluster = SimulatedCluster(self.sim, self.cluster_spec)
         self.trace = Trace()
         self.scheduler: Scheduler = make_scheduler(self.scheduling)
@@ -477,8 +458,6 @@ class SimulatedExecutor:
                     self._node_killer(fault),
                     name=f"nodefault{fault.node}",
                 )
-        self._batch_dispatch = self._batch_dispatch_eligible(graph)
-        self._prewarm_cost_model(graph)
         Process(self.sim, self._dispatcher(), name="dispatcher")
         self.sim.run()
         stranded = [
@@ -578,202 +557,11 @@ class SimulatedExecutor:
         if self._wake is not None and not self._wake.fired:
             self._wake.succeed()
 
-    # ---------------------------------------------------- batched dispatch
-    #: Test-only override: force every dispatch through the interleaved
-    #: :meth:`_dispatch_loop` even when the run qualifies for batched
-    #: ready-set drains.  The differential harness monkeypatches this to
-    #: prove both dispatch modes produce bit-identical traces now that
-    #: the legacy kernel they were originally compared against is gone.
-    _force_dispatch_loop = False
-
-    def _batch_dispatch_eligible(self, graph: TaskGraph) -> bool:
-        """Whether this run may drain ready batches without yielding.
-
-        The batched kernel's dispatcher skips the per-task
-        ``Timeout(dispatch latency)`` and launches a whole same-instant
-        ready batch from one scheduler activation.  That is provably
-        trace-identical to the interleaved dispatcher only when
-
-        * the per-decision latency is exactly zero (otherwise decisions
-          occupy distinct simulated instants by construction),
-        * no fault/recovery machinery can interleave with the drain
-          (fault plans, speculation watchdogs, task deadlines and
-          checkpoint barriers all schedule their own events around
-          dispatch), and
-        * every task's first suspension is strictly in the future
-          (:meth:`_task_batch_safe`), so a freshly launched task cannot
-          complete — and mutate the ready set — in the same instant its
-          siblings are still being placed.  Staged-pipeline GPU overlap
-          is excluded for the same reason: its fill sub-process starts at
-          the launch instant.
-
-        Every other configuration falls back to the interleaved dispatch
-        loop, the mode the recorded oracle digests were produced under.
-        """
-        policy = self.retry_policy
-        return (
-            not self._force_dispatch_loop
-            and self.kernel == "batched"
-            and self.fault_plan is None
-            and not policy.speculation_enabled
-            and policy.task_deadline is None
-            and self.checkpoint_policy is None
-            and self._dispatch_latency == 0.0
-            and not (self.use_gpu and self.comm_overlap)
-            and (
-                self.scheduling is not SchedulingPolicy.DATA_LOCALITY
-                or self.cluster_spec.locality_scan_seconds_per_task == 0.0
-            )
-            and all(self._task_batch_safe(task) for task in graph.tasks())
-        )
-
-    def _task_batch_safe(self, task: Task) -> bool:
-        """Whether the task's first suspension is strictly in the future.
-
-        A task whose stage walk yields nothing (or only zero-delay
-        timeouts) before completing would commit synchronously at its
-        launch instant, changing scheduler-visible state mid-drain; any
-        positive-size read, decode, compute fraction, encode or write
-        guarantees the walk leaves the launch instant first.  Warm-up
-        overhead is ignored — it only covers the first task per core.
-        """
-        cost = task.cost or _ZERO_COST
-        if cost.serial_flops > 0 or cost.parallel_flops > 0:
-            return True
-        if not self._no_distribution:
-            if cost.input_bytes > 0 or cost.output_bytes > 0:
-                return True
-            if any(ref.size_bytes > 0 for ref in task.inputs):
-                return True
-        return False
-
-    def _prewarm_cost_model(self, graph: TaskGraph) -> None:
-        """Fill the stage-time memo for the whole DAG in two batched calls.
-
-        One vectorized evaluation per device intent replaces the first
-        per-task cache miss of every distinct cost profile.  GPU profiles
-        the scalar path would reject (zero device rate with a non-trivial
-        parallel fraction) are skipped by ``stage_times_batch`` so the
-        ``ValueError`` still surfaces at dispatch time, not here.
-        """
-        cpu_costs = {}
-        gpu_costs = {}
-        for task in graph.tasks():
-            if self._gpu_intended(task):
-                gpu_costs[task.cost or _ZERO_COST] = None
-            else:
-                cpu_costs[task.cost or _ZERO_COST] = None
-        # Deduplicate via dict keys before handing off: million-task DAGs
-        # draw their costs from small palettes, and the batch evaluator's
-        # own per-element dedup loop runs in Python.
-        if cpu_costs:
-            self.cost_model.stage_times_batch(
-                list(cpu_costs), False, self.cpu_threads
-            )
-        if gpu_costs:
-            self.cost_model.stage_times_batch(
-                list(gpu_costs), True, self.cpu_threads
-            )
-
-    def _reserve_assignment(self, assignment) -> tuple[Task, int, int, bool]:
-        """Commit one batched-dispatch placement (no simulated time passes).
-
-        Performs exactly the reservation sequence of the interleaved
-        dispatch loop — cores, GPU device slot, RAM, core slot, ready-set
-        removal — so scheduler decisions made after this one observe the
-        same cluster state in either dispatch mode.
-        """
-        task = assignment.task
-        node = self.cluster.nodes[assignment.node]
-        task_on_gpu = self._task_on_gpu(task)
-        cores_needed = 1 if task_on_gpu else self.cpu_threads
-        if not node.cores.try_request(cores_needed):
-            raise RuntimeError("scheduler chose a node without free cores")
-        if task_on_gpu and not node.gpus.try_request(1):
-            node.cores.release(cores_needed)
-            raise RuntimeError("scheduler chose a node without free GPUs")
-        task_ram = task.cost.host_memory_bytes if task.cost else 0
-        node.reserve_ram(task_ram)
-        core_slot = self._free_cores[node.index].pop()
-        self._ready_remove(task.task_id)
-        return task, node.index, core_slot, task_on_gpu
-
-    def _drain_ready_batch(self, ready_view) -> None:
-        """Launch every placeable ready task at the current instant.
-
-        One ``select_batch`` call makes all placement decisions (each
-        observing the reservations of the previous ones), one
-        ``stage_times_batch`` call per device flag prewarms any cost
-        profiles the batch introduces, and the task processes are then
-        created in decision order — the same relative launch order the
-        interleaved loop produces.
-        """
-        batch: list[tuple[Task, int, int, bool]] = []
-        self.scheduler.select_batch(
-            ready_view,
-            self._view,
-            self._task_on_gpu,
-            lambda assignment: batch.append(self._reserve_assignment(assignment)),
-        )
-        if not batch:
-            return
-        if len(batch) >= 16:
-            # Worth a vectorized evaluation; smaller batches ride the
-            # memoized scalar path (the whole DAG was prewarmed at
-            # execute start, so misses only occur when a GPU-intended
-            # task overflowed to CPU).
-            cpu_costs = [t.cost or _ZERO_COST for t, _, _, g in batch if not g]
-            gpu_costs = [t.cost or _ZERO_COST for t, _, _, g in batch if g]
-            if cpu_costs:
-                self.cost_model.stage_times_batch(cpu_costs, False, self.cpu_threads)
-            if gpu_costs:
-                self.cost_model.stage_times_batch(gpu_costs, True, self.cpu_threads)
-        launched = []
-        for task, node_index, core_slot, task_on_gpu in batch:
-            attempt = int(self._attempt_counts[task.task_id]) + 1
-            self._attempt_counts[task.task_id] = attempt
-            process = Process(
-                self.sim,
-                self._run_task(task, node_index, core_slot, task_on_gpu, attempt),
-                name=f"task{task.task_id}",
-                autostart=False,
-            )
-            self._running.setdefault(task.task_id, {})[attempt] = (
-                process,
-                node_index,
-            )
-            self._state[task.task_id] |= _RUNNING
-            launched.append(process)
-        # Run each process to its first suspension point now instead of
-        # through a zero-delay event per task.  Legal because the drain
-        # only runs when no other event shares this instant, so these
-        # resumes would have been the very next events in creation order
-        # anyway; _task_batch_safe guarantees none of them completes (or
-        # touches scheduler-visible state) before suspending.
-        for process in launched:
-            process.start_now()
-
     def _dispatcher(self) -> Generator:
         ready_view = _ReadyView(self)
         policy = self.retry_policy
-        sim = self.sim
-        batch_mode = self._batch_dispatch
         while self._outstanding() > 0:
-            if (
-                batch_mode
-                and self._ready
-                and sim.cascade_depth == 0
-                and sim.peek_time() != sim.now
-            ):
-                # No other pending event shares this instant — neither in
-                # the event queue nor in a resource completion cascade
-                # still firing callbacks — so the whole ready set can be
-                # drained in one activation.  Any same-instant contender
-                # falls through to the interleaved loop below, which
-                # preserves the event ordering the oracle traces recorded.
-                self._drain_ready_batch(ready_view)
-            else:
-                yield from self._dispatch_loop(ready_view, policy)
+            yield from self._dispatch_loop(ready_view, policy)
             if self._outstanding() > 0:
                 self._wake = SimEvent(name="dispatcher.wake")
                 yield WaitEvent(self._wake)

@@ -121,36 +121,6 @@ class Scheduler:
     ) -> Assignment | None:
         raise NotImplementedError
 
-    def select_batch(
-        self,
-        ready: Sequence[Task],
-        cluster: ClusterView,
-        requires_gpu: GpuPredicate,
-        reserve: Callable[[Assignment], None],
-    ) -> int:
-        """Drain every placeable ready task in one scheduler call.
-
-        Repeatedly applies :meth:`select` and hands each assignment to
-        ``reserve`` — which must commit the placement (claim cores/GPU/RAM
-        and remove the task from ``ready``) before the next decision is
-        made — until no ready task fits any node.  Returns the number of
-        tasks placed.
-
-        This is the batched kernel's dispatch entry point: one call per
-        simulated instant instead of one scheduler activation per task.
-        Because each decision still observes the reservations of every
-        earlier one, the produced sequence of assignments (and any policy
-        cursor state, e.g. round-robin node choice) is identical to ``n``
-        individual :meth:`select` calls.
-        """
-        placed = 0
-        while True:
-            assignment = self.select(ready, cluster, requires_gpu)
-            if assignment is None:
-                return placed
-            reserve(assignment)
-            placed += 1
-
 
 class GenerationOrderScheduler(Scheduler):
     """FIFO dispatch with round-robin node choice.

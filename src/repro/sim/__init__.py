@@ -14,7 +14,6 @@ tested in isolation and reused by any experiment.
 """
 
 from repro.sim.engine import (
-    KERNELS,
     ScheduledEvent,
     SimEngine,
     SimulationError,
@@ -37,7 +36,6 @@ __all__ = [
     "AllOf",
     "BandwidthResource",
     "CapacityResource",
-    "KERNELS",
     "Process",
     "Release",
     "ScheduledEvent",

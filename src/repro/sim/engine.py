@@ -8,12 +8,9 @@ turn makes every experiment in this repository reproducible bit-for-bit.
 Heap entries are flat ``[time, seq, callback, args]`` records (a ``list``
 subclass), so ``heapq`` compares them element-wise in C instead of calling
 a Python ``__lt__`` per comparison; cancellation nulls the callback slot
-in place.  The legacy object-per-event ``reference`` kernel that this
-layout replaced was removed after the batched kernel shipped as the
-default; its traces are preserved bit-for-bit as recorded oracle digests
-(``tests/golden/kernel_oracle_digests.json``) which the differential
-harness (``tests/test_kernel_differential.py``) still pins the batched
-kernel against.
+in place.  The object-per-event engine this layout replaced survives
+only as recorded oracle digests (``tests/golden/kernel_oracle_digests.json``),
+which ``tests/test_kernel_differential.py`` pins every run against.
 """
 
 from __future__ import annotations
@@ -65,19 +62,6 @@ class ScheduledEvent(list):
         return f"ScheduledEvent(t={self[0]:.6f}, seq={self[1]}, {state})"
 
 
-#: Kernel names accepted by :class:`SimEngine`.  The legacy ``reference``
-#: kernel was removed; requesting it raises a pointed error.
-KERNELS = ("batched",)
-
-#: Message for attempts to construct the removed legacy kernel.
-_REFERENCE_REMOVED = (
-    "the 'reference' simulation kernel was removed after the batched "
-    "kernel shipped as the default; its traces survive as recorded oracle "
-    "digests in tests/golden/kernel_oracle_digests.json (see "
-    "tests/test_kernel_differential.py). Use kernel='batched'."
-)
-
-
 class SimEngine:
     """A minimal, deterministic discrete-event simulator.
 
@@ -94,30 +78,11 @@ class SimEngine:
     2.0
     """
 
-    def __init__(self, kernel: str = "batched") -> None:
-        if kernel not in KERNELS:
-            if kernel == "reference":
-                raise SimulationError(_REFERENCE_REMOVED)
-            raise SimulationError(
-                f"unknown simulation kernel {kernel!r}; expected one of {KERNELS}"
-            )
-        #: Which event-core implementation this engine runs (always
-        #: ``"batched"`` now); kept as an attribute because resources and
-        #: the simulated executor read it.
-        self.kernel = kernel
+    def __init__(self) -> None:
         self._queue: list = []
         self._seq = itertools.count()
         self._now = 0.0
         self._processed = 0
-        #: Number of resource completion cascades currently firing
-        #: callbacks with more still pending (see
-        #: :meth:`~repro.sim.resources.BandwidthResource._complete_due`).
-        #: While non-zero, same-instant work exists that is *not* visible
-        #: in the event queue — it lives in a callback list on the Python
-        #: stack — so the batched dispatcher must not drain the ready set
-        #: without yielding.  Purely advisory: the engine itself never
-        #: reads it.
-        self.cascade_depth = 0
 
     @property
     def now(self) -> float:
@@ -159,21 +124,6 @@ class SimEngine:
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
         return self.schedule(time - self._now, callback, *args)
-
-    def peek_time(self) -> float | None:
-        """Time of the next pending (non-cancelled) event, ``None`` if idle.
-
-        Used by the batched dispatcher to prove no other event shares the
-        current instant before draining the ready set without yields.
-        """
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if head[2] is None:
-                heapq.heappop(queue)
-                continue
-            return head[0]
-        return None
 
     def run(self, until: float | None = None) -> None:
         """Run events until the queue drains or simulated time passes ``until``.
@@ -221,6 +171,5 @@ class SimEngine:
         return False
 
 
-#: Backwards-compatible alias: existing call sites construct ``Simulator()``
-#: and get the batched kernel.
+#: Backwards-compatible alias: existing call sites construct ``Simulator()``.
 Simulator = SimEngine

@@ -110,7 +110,6 @@ class Process:
         sim: Simulator,
         generator: Generator[Command, Any, Any],
         name: str = "",
-        autostart: bool = True,
     ) -> None:
         self._sim = sim
         self._generator = generator
@@ -120,22 +119,7 @@ class Process:
         #: completion callbacks from superseded commands (after an
         #: interrupt) carry a stale epoch and are ignored.
         self._epoch = 0
-        #: ``autostart=False`` skips the usual zero-delay start event;
-        #: the creator must call :meth:`start_now` (used by the batched
-        #: dispatcher to launch a drained batch without one heap event
-        #: per task).
-        self._pending = sim.schedule(0.0, self._resume, None) if autostart else None
-
-    def start_now(self) -> None:
-        """Run the generator to its first suspension point synchronously.
-
-        Only valid on a process created with ``autostart=False`` that has
-        not started yet.  The caller is asserting that an immediate start
-        is indistinguishable from the zero-delay event ``autostart=True``
-        would have scheduled — i.e. no other pending event shares the
-        current instant.
-        """
-        self._resume(None)
+        self._pending = sim.schedule(0.0, self._resume, None)
 
     @property
     def started(self) -> bool:

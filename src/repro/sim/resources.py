@@ -104,20 +104,12 @@ class CapacityResource:
         self._in_use -= amount
         if not self._waiters:
             return
-        # Serving queued waiters is a completion cascade: while one grant
-        # callback runs, further grants may still be pending here rather
-        # than in the event queue, so flag the engine (the batched
-        # dispatcher must not drain the ready set mid-cascade).
-        self._sim.cascade_depth += 1
-        try:
-            while self._waiters:
-                need, callback = self._waiters[0]
-                if self._in_use + need > self.capacity:
-                    break
-                self._waiters.popleft()
-                self._grant(need, callback)
-        finally:
-            self._sim.cascade_depth -= 1
+        while self._waiters:
+            need, callback = self._waiters[0]
+            if self._in_use + need > self.capacity:
+                break
+            self._waiters.popleft()
+            self._grant(need, callback)
 
     def _grant(self, amount: int, callback: Callable[[], None]) -> None:
         self._in_use += amount
@@ -303,26 +295,7 @@ class BandwidthResource:
         self._fire_completions(finished)
 
     def _fire_completions(self, finished: list) -> None:
-        """Invoke completion callbacks in insertion order.
-
-        When several jobs finish in one settle, the callbacks after the
-        first are same-instant work that lives in this list rather than
-        in the event queue; the engine's ``cascade_depth`` flags that
-        window so the batched dispatcher (woken synchronously by, say,
-        the first completion committing a task) falls back to the
-        yielding reference loop, which lets the remaining completions
-        interleave exactly like the reference kernel.
-        """
-        if len(finished) == 1:
-            job = finished[0]
+        """Invoke completion callbacks in insertion order."""
+        for job in finished:
             self._bytes_done += job.size
             job.callback()
-            return
-        sim = self._sim
-        sim.cascade_depth += 1
-        try:
-            for job in finished:
-                self._bytes_done += job.size
-                job.callback()
-        finally:
-            sim.cascade_depth -= 1

@@ -1,17 +1,18 @@
 """The kernel-differential corpus: named cells with recorded oracle digests.
 
 Shared by ``scripts/record_kernel_oracle.py`` (which recorded each cell's
-trace digest under the legacy ``reference`` event kernel into
-``tests/golden/kernel_oracle_digests.json`` before that kernel was
+trace digest under the legacy ``reference`` event core into
+``tests/golden/kernel_oracle_digests.json`` before that core was
 removed) and ``tests/test_kernel_differential.py`` (which asserts the
-batched kernel still reproduces those digests bit for bit).
+simulator still reproduces those digests bit for bit).
 
-The cells cover the batched fast path (zero-latency clusters, where whole
-ready batches are drained in one scheduler activation) and every
-configuration that must *fall back* to the interleaved dispatch loop
-(fault plans, lineage recovery, speculation, checkpoint barriers, nonzero
-dispatch latency), plus GPU mode and the same-instant completion-cascade
-shape that exposed the original drain bug.
+The cells cover zero-latency clusters (``drain:*``, where every decision
+over a ready batch lands on one simulated instant), the fault and
+recovery machinery plus the default nonzero dispatch latency
+(``fallback:*``: fault plans, lineage recovery, speculation, checkpoint
+barriers), GPU mode, and the same-instant completion-cascade shape
+(``cascade:*``).  The cell names are keys of the recorded oracle and
+keep the names they were recorded under.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from tests.golden_matrix import GOLDEN_FAULT_PLAN, GOLDEN_RETRY_POLICY
 def zero_latency_cluster(num_nodes: int = 4):
     """A cluster whose scheduler decisions take no simulated time.
 
-    This is the configuration under which the batched kernel's dispatcher
-    may drain whole ready batches, so it is the one that actually
-    exercises the fast path being differentially tested.
+    Every placement of a ready batch then shares one simulated instant
+    with the completions that freed it, the densest interleaving the
+    dispatch loop has to order deterministically.
     """
     return dataclasses.replace(
         minotauro(num_nodes=num_nodes),
@@ -49,8 +50,8 @@ def run_digest(config: RuntimeConfig, workflow: GeneratedDagWorkflow) -> str:
     return trace_digest(result.trace, result.failed_task_ids)
 
 
-#: Fast-path cells: zero-latency clusters where the batched dispatcher
-#: drains ready batches.  Policies x storage x block size x jitter.
+#: Zero-latency cells: whole ready batches placed at one instant.
+#: Policies x storage x block size x jitter.
 DRAIN_CASES = {
     "generation_order-local-small": dict(
         scheduling=SchedulingPolicy.GENERATION_ORDER,
@@ -88,8 +89,7 @@ DRAIN_CASES = {
     ),
 }
 
-#: Fallback cells: configurations the batched dispatcher must refuse to
-#: drain, exercising the interleaved dispatch loop under the flat heap.
+#: Default-latency cells, plain and with the fault/recovery machinery.
 FALLBACK_CASES = {
     "default-latency": dict(),
     "faults-retry": dict(

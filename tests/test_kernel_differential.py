@@ -1,35 +1,29 @@
-"""Differential harness: the batched kernel must equal the recorded oracle.
+"""Differential harness: every run must equal the recorded oracle.
 
-The batched event core (flat heap records, batched ready-set dispatch,
-vectorized stage-time evaluation) replaced the legacy object-per-event
-``reference`` kernel.  Before that kernel was deleted, every cell of the
-kernel corpus (``tests/kernel_corpus.py``) was executed under it and the
-trace digests were frozen into
+The flat-heap event core replaced the legacy object-per-event
+``reference`` event core.  Before that core was deleted, every cell of
+the kernel corpus (``tests/kernel_corpus.py``) was executed under it and
+the trace digests were frozen into
 ``tests/golden/kernel_oracle_digests.json`` by
 ``scripts/record_kernel_oracle.py``.  Those digests are the oracle: the
-batched kernel is only allowed to be *faster* than the kernel they were
+simulator is only allowed to get *faster* than the core they were
 recorded under — never different (task dispatch order, per-stage times,
 attempt histories, makespan and failed-task sets, via
 :func:`repro.tracing.trace_digest`).
 
-Three layers:
+Two layers:
 
-* the corpus replayed against the frozen oracle digests — covering the
-  batched fast path (zero-latency clusters, where whole ready batches
-  are drained in one scheduler activation), every configuration that
-  must fall back to the interleaved dispatch loop (fault plans, lineage
-  recovery, speculation, checkpoint barriers, nonzero dispatch latency),
-  GPU mode, and the same-instant completion-cascade shape that exposed
-  the original drain bug;
-* a Hypothesis property comparing batched ready-set drains against a
-  forced interleaved dispatch loop over random DAG shapes — the two
-  dispatch modes must stay bit-identical now that the old kernel can no
-  longer arbitrate between them;
-* guards that the removed kernel stays removed: requesting it raises a
-  pointed error at both the config and the engine layer.
+* the corpus replayed against the frozen oracle digests — zero-latency
+  clusters (every scheduler decision at one instant), fault plans,
+  lineage recovery, speculation, checkpoint barriers, nonzero dispatch
+  latency, GPU mode, and the same-instant completion-cascade shape;
+* a Hypothesis property over random DAG shapes on zero-latency clusters,
+  plus a hand-built DAG of cost-less tasks that commit at their launch
+  instant: every run must pass the trace sanitizer and replay to the
+  same digest.
 
-A failure in the oracle layer means the batched kernel changed execution
-semantics — fix the kernel, never the recorded digests.
+A failure in the oracle layer means the simulator changed execution
+semantics — fix the simulator, never the recorded digests.
 """
 
 from __future__ import annotations
@@ -43,8 +37,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.algorithms import GeneratedDagWorkflow
 from repro.hardware import StorageKind
 from repro.runtime import Runtime, RuntimeConfig, SchedulingPolicy
-from repro.runtime.backends.simulated import SimulatedExecutor
-from repro.sim import SimulationError, Simulator
+from repro.tracing import trace_digest
 from tests.kernel_corpus import corpus_cases, run_digest, zero_latency_cluster
 
 ORACLE_PATH = pathlib.Path(__file__).parent / "golden" / "kernel_oracle_digests.json"
@@ -73,12 +66,12 @@ def test_corpus_matches_recorded_oracle(name, oracle):
     make_config, workflow = _CASES[name]
     digest = run_digest(make_config(), workflow)
     assert digest == oracle[name], (
-        f"{name}: batched kernel diverged from the recorded oracle digest\n"
+        f"{name}: run diverged from the recorded oracle digest\n"
         f"  expected {oracle[name][:16]}...\n"
         f"  got      {digest[:16]}...\n"
         "The oracle was recorded under the legacy reference kernel before "
-        "its removal; a mismatch means the batched kernel changed "
-        "execution semantics.  Fix the kernel, never the recording."
+        "its removal; a mismatch means the simulator changed "
+        "execution semantics.  Fix the simulator, never the recording."
     )
 
 
@@ -87,7 +80,14 @@ def test_oracle_covers_whole_corpus(oracle):
     assert sorted(oracle) == sorted(_CASES)
 
 
-# ------------------------------------------- dispatch-mode equivalence
+# ------------------------------------- zero-latency runs stay sound
+
+def _sanitized_digest(make_runtime) -> str:
+    """Run a freshly built workflow under the sanitizer; digest its trace."""
+    result = make_runtime().run(sanitize=True)
+    assert result.sanitizer is not None and result.sanitizer.ok
+    return trace_digest(result.trace, result.failed_task_ids)
+
 
 @given(
     width=st.integers(min_value=2, max_value=10),
@@ -104,82 +104,69 @@ def test_oracle_covers_whole_corpus(oracle):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_batched_drain_equals_forced_dispatch_loop(
+def test_zero_latency_runs_sanitize_clean_and_repeat(
     width, depth, fan_in, block_mb, seed, num_nodes, policy, storage
 ):
-    """Batched ready-set drains must equal the interleaved dispatch loop.
+    """Zero-latency dispatch must keep every trace invariant, repeatably.
 
-    Zero-latency clusters are the configurations where the batched
-    dispatcher actually drains whole ready batches in one activation, so
-    this property pins the drain path against the one-decision-per-yield
-    loop it claims to be equivalent to.  The monkeypatch-free runs and
-    the forced-loop runs must produce bit-identical traces.
+    With no per-decision latency every placement of a ready batch shares
+    one simulated instant, the densest interleaving of dispatch and
+    completion the simulator produces.
     """
     workflow = GeneratedDagWorkflow(
         width=width, depth=depth, fan_in=fan_in, block_mb=block_mb, seed=seed
     )
 
-    def make_config():
-        return RuntimeConfig(
-            cluster=zero_latency_cluster(num_nodes),
-            scheduling=policy,
-            storage=storage,
-            use_gpu=False,
+    def make_runtime() -> Runtime:
+        runtime = Runtime(
+            RuntimeConfig(
+                cluster=zero_latency_cluster(num_nodes),
+                scheduling=policy,
+                storage=storage,
+                use_gpu=False,
+            )
         )
+        workflow.build(runtime)
+        return runtime
 
-    batched = run_digest(make_config(), workflow)
-    original = SimulatedExecutor._force_dispatch_loop
-    SimulatedExecutor._force_dispatch_loop = True
-    try:
-        forced = run_digest(make_config(), workflow)
-    finally:
-        SimulatedExecutor._force_dispatch_loop = original
-    assert batched == forced, (
-        "batched ready-set drain diverged from the interleaved dispatch "
-        f"loop: {batched[:16]}... != {forced[:16]}..."
+    assert _sanitized_digest(make_runtime) == _sanitized_digest(make_runtime)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    sorted(SchedulingPolicy, key=lambda p: p.value),
+    ids=lambda p: p.value,
+)
+def test_costless_tasks_commit_at_launch_instant(policy):
+    """Tasks with no cost and zero-byte data finish the instant they start.
+
+    Their completion releases successors while other ready tasks are
+    still being placed at the same instant; the trace must stay sound
+    and the run repeatable.
+    """
+
+    def make_runtime() -> Runtime:
+        runtime = Runtime(
+            RuntimeConfig(
+                cluster=zero_latency_cluster(num_nodes=2),
+                scheduling=policy,
+                storage=StorageKind.LOCAL,
+                use_gpu=False,
+            )
+        )
+        seeds = [runtime.register_input(0, name=f"in{i}") for i in range(3)]
+        roots = [runtime.submit("root", inputs=[ref])[0] for ref in seeds]
+        roots.append(runtime.submit("source", inputs=[])[0])
+        joins = [
+            runtime.submit("join", inputs=[roots[i], roots[i + 1]])[0]
+            for i in range(len(roots) - 1)
+        ]
+        runtime.submit("sink", inputs=joins)
+        return runtime
+
+    first = make_runtime().run(sanitize=True)
+    assert first.makespan == 0.0
+    assert first.trace.num_task_records == 8
+    assert _sanitized_digest(make_runtime) == trace_digest(
+        first.trace, first.failed_task_ids
     )
-
-
-def test_forced_loop_knob_actually_disables_draining(monkeypatch):
-    """The test knob must force interleaved dispatch, or the property
-    above would vacuously compare the drain path against itself."""
-    calls: list[int] = []
-    original_drain = SimulatedExecutor._drain_ready_batch
-
-    def counting_drain(self, ready_view):
-        calls.append(1)
-        return original_drain(self, ready_view)
-
-    monkeypatch.setattr(SimulatedExecutor, "_drain_ready_batch", counting_drain)
-
-    def run_once() -> None:
-        config = RuntimeConfig(cluster=zero_latency_cluster(), use_gpu=False)
-        runtime = Runtime(config)
-        GeneratedDagWorkflow(
-            width=8, depth=3, fan_in=2, block_mb=0.25, seed=1
-        ).build(runtime)
-        runtime.run()
-
-    run_once()
-    assert calls, "a zero-latency run should take the batched drain path"
-    calls.clear()
-    monkeypatch.setattr(SimulatedExecutor, "_force_dispatch_loop", True)
-    run_once()
-    assert not calls, "the force knob must route dispatch through the loop"
-
-
-# ------------------------------------------------ the kernel stays gone
-
-def test_reference_kernel_removed_from_config():
-    with pytest.raises(ValueError, match="was removed"):
-        RuntimeConfig(sim_kernel="reference")
-
-
-def test_reference_kernel_removed_from_engine():
-    with pytest.raises(SimulationError, match="was removed"):
-        Simulator(kernel="reference")
-
-
-def test_unknown_kernel_still_rejected():
-    with pytest.raises(SimulationError, match="unknown simulation kernel"):
-        Simulator(kernel="warp")
