@@ -1,4 +1,4 @@
-"""End-to-end proof of crash recovery: SIGKILL a chaotic sweep, resume it.
+"""End-to-end proof of crash recovery: SIGKILL a chaotic sweep, rerun it.
 
 The CI ``chaos-shard`` job runs this script.  It
 
@@ -7,17 +7,18 @@ The CI ``chaos-shard`` job runs this script.  It
    seeded :class:`~repro.core.chaos.ChaosPlan` (worker kills + slowdowns,
    so the run both loses workers and takes long enough to be killed),
 2. SIGKILLs the child's whole process group once the execution ledger
-   shows a few cells DONE but not all of them — the hard mid-sweep death
-   the ledger exists for,
-3. replays the journal, then runs the same sweep again in-process with
-   ``resume=True`` and asserts
+   shows a few cells DONE but not all of them — a hard mid-sweep death,
+3. checks that every cell the journal shows DONE has a cache entry (the
+   engine writes the entry before it appends DONE), then runs the same
+   sweep again in-process with a plain engine — no flag — and asserts
 
-   * every ledger-finished cell is answered from the journal
-     (``stats.resumed`` == cells DONE before the kill: 100%
-     ledger-driven skip),
-   * no finished cell is ever re-dispatched after the RESUME marker,
-   * only the unfinished remainder is simulated, and
-   * the resumed run completes every cell.
+   * every cell cached before the restart is answered from the cache
+     (``stats.cache_hits`` == cache entries before the restart: 100%
+     cache-driven skip),
+   * only the rest is simulated (``executed == cells - cache_hits``),
+   * no cached cell, and so no cell DONE before the kill, is
+     dispatched after the rerun's OPEN marker, and
+   * the journal ends showing every cell DONE.
 
 Run it directly (no arguments) from the repository root:
 
@@ -39,6 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.bench import sweep_bench_cells  # noqa: E402
 from repro.core import ledger as ledger_module  # noqa: E402
 from repro.core.chaos import ChaosPlan  # noqa: E402
+from repro.core.experiments.cache import SweepCache  # noqa: E402
 from repro.core.experiments.engine import (  # noqa: E402
     SweepEngine,
     cell_digest,
@@ -138,45 +140,55 @@ def main() -> int:
         if done_before == digests:
             raise SystemExit(
                 "child finished every cell before the kill; nothing to "
-                "resume — lower KILL_AFTER_DONE or slow the chaos plan"
+                "rerun — lower KILL_AFTER_DONE or slow the chaos plan"
             )
 
-        with SweepEngine(jobs=2, cache_dir=cache_dir, resume=True) as engine:
+        # The cache entry is written before DONE, so every DONE cell is
+        # cached; a cell killed between the two is cached but not DONE.
+        cached = {path.stem for path in SweepCache(cache_dir).iter_paths()}
+        missing = done_before - cached
+        assert not missing, f"{len(missing)} DONE cell(s) have no cache entry"
+        assert cached <= digests, "cache holds cells the sweep never ran"
+
+        with SweepEngine(jobs=2, cache_dir=cache_dir) as engine:
             results = engine.run_cells(cells)
             stats = engine.stats
             print(stats.line())
 
-        assert len(results) == len(cells), "resumed run did not complete"
-        assert stats.resumed == len(done_before), (
-            f"ledger-driven skip was not 100%: {stats.resumed} resumed "
-            f"vs {len(done_before)} DONE in the journal"
+        assert len(results) == len(cells), "rerun did not complete"
+        assert stats.cache_hits == len(cached), (
+            f"cache-driven skip was not 100%: {stats.cache_hits} hits "
+            f"vs {len(cached)} cache entries before the restart"
         )
-        assert stats.executed == len(digests) - len(done_before) - stats.cache_hits, (
-            "resumed run re-simulated cells the ledger or cache already held"
+        assert stats.executed == len(digests) - stats.cache_hits, (
+            "rerun re-simulated cells the cache already held"
         )
 
-        # No finished cell may be re-dispatched after the RESUME marker.
+        # No cached cell may be dispatched after the rerun's OPEN marker
+        # (the second one in the journal).
         redispatched = set()
-        in_resumed_session = False
+        sessions = 0
         for entry in ledger_module.iter_events(ledger_path):
-            if entry["state"] == ledger_module.RESUME:
-                in_resumed_session = True
+            if entry["state"] == ledger_module.OPEN:
+                sessions += 1
             elif (
-                in_resumed_session
+                sessions >= 2
                 and entry["state"] == ledger_module.DISPATCHED
-                and entry["item"] in done_before
+                and entry["item"] in cached
             ):
                 redispatched.add(entry["item"])
+        assert sessions == 2, f"journal holds {sessions} sessions, expected 2"
         assert not redispatched, (
-            f"{len(redispatched)} finished cell(s) re-dispatched after resume"
+            f"{len(redispatched)} cached cell(s) re-dispatched after restart"
         )
 
         after = ledger_module.replay_ledger(ledger_path)
         assert set(after.done) == digests, "journal does not show a full sweep"
 
     print(
-        f"[parent] OK: resume skipped {stats.resumed}/{len(digests)} cells "
-        f"from the ledger and simulated the remaining {stats.executed}"
+        f"[parent] OK: restart skipped {stats.cache_hits}/{len(digests)} "
+        f"cells from the cache ({len(done_before)} DONE before the kill) "
+        f"and simulated the remaining {stats.executed}"
     )
     return 0
 

@@ -80,12 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the on-disk sweep result cache",
     )
-    figures.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay the execution ledger first and re-run only cells "
-             "that were unfinished when the previous run died",
-    )
 
     run = sub.add_parser("run", help="execute one workflow configuration")
     run.add_argument("--algorithm", choices=("matmul", "matmul_fma", "kmeans"),
@@ -268,21 +262,14 @@ def _cmd_figures(
     jobs: int | None = None,
     cache_dir: str | None = None,
     no_cache: bool = False,
-    resume: bool = False,
 ) -> int:
     from repro.core import factors_table
     from repro.core import experiments as exp
 
-    if resume and no_cache:
-        print("--resume needs the execution ledger under the cache dir; "
-              "drop --no-cache", file=sys.stderr)
-        return 2
     # One engine for the whole invocation: cells shared between figures
     # (e.g. Figure 11's base design repeating Figures 7/9a/10) simulate
     # once, and the shard pool's workers stay warm across figures.
-    engine = exp.SweepEngine(
-        jobs=jobs, cache_dir=cache_dir, cache=not no_cache, resume=resume
-    )
+    engine = exp.SweepEngine(jobs=jobs, cache_dir=cache_dir, cache=not no_cache)
     runners = {
         "fig1": lambda: exp.run_fig1(engine=engine),
         "fig6": exp.run_fig6,
@@ -638,7 +625,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             no_cache=args.no_cache,
-            resume=args.resume,
         )
     if args.command == "run":
         return _cmd_run(args)

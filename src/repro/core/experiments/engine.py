@@ -204,13 +204,6 @@ def cell_digest(spec: CellSpec, fingerprint: str | None = None) -> str:
 # --------------------------------------------------------------- engine
 
 
-def _execute_recorded(spec: CellSpec) -> tuple[dict[str, Any], float]:
-    """Execute one cell, return (record, wall seconds)."""
-    started = time.perf_counter()
-    metrics = execute_cell(spec)
-    return metrics_to_record(metrics), time.perf_counter() - started
-
-
 def _cache_entry(
     digest: str,
     fingerprint: str,
@@ -218,7 +211,7 @@ def _cache_entry(
     record: dict[str, Any],
     wall: float,
 ) -> dict[str, Any]:
-    """The on-disk record layout shared by worker and in-process writes."""
+    """The on-disk layout of one cache entry."""
     return {
         "digest": digest,
         "fingerprint": fingerprint,
@@ -234,15 +227,18 @@ def _execute_to_cache(
     fingerprint: str,
     cache_root: str | None,
 ) -> tuple[dict[str, Any], float]:
-    """Shard-pool worker: execute one cell and persist it directly.
+    """Execute one cell, persist it, and return (record, wall seconds).
 
-    Writing from the worker keeps the result's bytes off the task queue
-    twice (the record still returns to the parent for the in-memory
-    memo, but the disk write happens where the data is) and makes cache
-    population independent of the parent surviving the batch.  The
-    atomic ``SweepCache.put`` tolerates concurrent writers.
+    Pool workers and the serial loop both run this, so a cell's cache
+    entry always exists before its ledger ``DONE`` is appended.  Writing
+    from the worker keeps the result's bytes off the task queue twice
+    (the record still returns to the parent for the in-memory memo) and
+    makes cache population independent of the parent surviving the
+    batch.  The atomic ``SweepCache.put`` tolerates concurrent writers.
     """
-    record, wall = _execute_recorded(spec)
+    started = time.perf_counter()
+    record = metrics_to_record(execute_cell(spec))
+    wall = time.perf_counter() - started
     if cache_root is not None:
         SweepCache(cache_root).put(
             digest, _cache_entry(digest, fingerprint, spec, record, wall)
@@ -258,8 +254,6 @@ class SweepStats:
     executed: int = 0
     memo_hits: int = 0
     cache_hits: int = 0
-    #: Cells answered from a replayed execution ledger (``--resume``).
-    resumed: int = 0
     evictions: int = 0
     #: Wall-clock the cache hits originally cost to compute.
     wall_saved: float = 0.0
@@ -273,8 +267,8 @@ class SweepStats:
 
     @property
     def hits(self) -> int:
-        """Cells answered without simulating (cache, dedup, ledger)."""
-        return self.cache_hits + self.memo_hits + self.resumed
+        """Cells answered without simulating (cache, dedup)."""
+        return self.cache_hits + self.memo_hits
 
     @property
     def hit_rate(self) -> float:
@@ -286,7 +280,6 @@ class SweepStats:
         return (
             f"[sweep] cells={self.cells} hits={self.cache_hits} "
             f"dedup={self.memo_hits} misses={self.misses} "
-            f"resumed={self.resumed} "
             f"evictions={self.evictions} hit_rate={self.hit_rate:.0%} "
             f"saved={self.wall_saved:.1f}s wall={self.executed_wall:.1f}s"
         )
@@ -303,16 +296,14 @@ class SweepEngine:
     :meth:`close` (or use the engine as a context manager) to reap the
     workers; an unclosed engine's daemon workers die with the process.
 
-    When caching is on (or an explicit ``ledger_path`` is given) every
-    cell execution is journalled to a crash-consistent
-    :class:`~repro.core.ledger.ExecutionLedger` under the cache dir:
-    PENDING on submission, DISPATCHED per attempt, then
-    DONE / FAILED / QUARANTINED.  ``resume=True`` replays the journal
-    first and answers every previously finished cell from its DONE
-    record — no cache lookup, no simulation — so a run SIGKILLed
-    mid-sweep re-executes only what was unfinished (``repro figures
-    --resume``).  ``policy`` and ``chaos`` are forwarded to the worker
-    pool (supervision rules and the deterministic fault-injection plan).
+    When caching is on every cell execution is journalled to a
+    crash-consistent :class:`~repro.core.ledger.ExecutionLedger` at
+    ``<cache dir>/ledger.jsonl``: PENDING on submission, DISPATCHED per
+    attempt, then DONE / FAILED / QUARANTINED.  A cell's cache entry is
+    written before its DONE, so rerunning a sweep SIGKILLed mid-run
+    answers every finished cell from the cache and re-executes only the
+    rest.  ``policy`` and ``chaos`` are forwarded to the worker pool
+    (supervision rules and the deterministic fault-injection plan).
     """
 
     def __init__(
@@ -320,8 +311,6 @@ class SweepEngine:
         jobs: int | None = None,
         cache_dir: str | Path | None = None,
         cache: bool = True,
-        ledger_path: str | Path | None = None,
-        resume: bool = False,
         policy=None,
         chaos=None,
     ) -> None:
@@ -333,33 +322,19 @@ class SweepEngine:
         self._cache: SweepCache | None = None
         self._policy = policy
         self._chaos = chaos
+        self._ledger: ledger_module.ExecutionLedger | None = None
         if cache:
             self._cache = SweepCache(
                 Path(cache_dir) if cache_dir is not None else default_cache_dir()
             )
             self.stats.evictions += self._cache.prune(self._fingerprint)
-        # The ledger lives beside the cache shards; SweepCache only globs
-        # one level deeper (``*/*.json``), so the journal is invisible to
-        # cache scans and pruning.
-        if ledger_path is None and self._cache is not None:
-            ledger_path = self._cache.root / "ledger.jsonl"
-        if resume and ledger_path is None:
-            raise ValueError(
-                "resume requires an execution ledger: enable the cache "
-                "or pass ledger_path"
+            # The ledger lives beside the cache shards; SweepCache only
+            # globs one level deeper (``*/*.json``), so the journal is
+            # invisible to cache scans and pruning.
+            self._ledger = ledger_module.ExecutionLedger(
+                self._cache.root / "ledger.jsonl"
             )
-        self._ledger: ledger_module.ExecutionLedger | None = None
-        self._resumed: set[str] = set()
-        if ledger_path is not None:
-            if resume:
-                replayed = ledger_module.replay_ledger(ledger_path)
-                for digest, record in replayed.done_records().items():
-                    self._memo[digest] = metrics_from_record(record)
-                    self._resumed.add(digest)
-            self._ledger = ledger_module.ExecutionLedger(ledger_path)
-            self._ledger.open_session(
-                resumed=resume, fingerprint=self._fingerprint
-            )
+            self._ledger.open_session(fingerprint=self._fingerprint)
 
     def __enter__(self) -> "SweepEngine":
         return self
@@ -420,12 +395,6 @@ class SweepEngine:
 
         pending: dict[str, CellSpec] = {}
         for spec, digest in zip(specs, digests):
-            if digest in self._resumed:
-                # Answered from the replayed ledger; later repeats of the
-                # same digest count as ordinary dedup hits.
-                self._resumed.discard(digest)
-                self.stats.resumed += 1
-                continue
             if digest in self._memo:
                 self.stats.memo_hits += 1
                 continue
@@ -445,18 +414,15 @@ class SweepEngine:
             if self._ledger is not None:
                 for digest, _spec in items:
                     self._ledger.append(ledger_module.PENDING, item=digest)
+            cache_root = str(self._cache.root) if self._cache is not None else None
             # Nested fan-out degrades to serial: a pool worker must never
             # spin up a second process pool inside itself (fork bombs,
             # oversubscription, and a second interpreter warm-up per cell).
-            parallel = self.jobs > 1 and len(items) > 1 and not shard.in_worker()
-            if parallel:
+            if self.jobs > 1 and len(items) > 1 and not shard.in_worker():
                 if self._pool is None:
                     self._pool = shard.ShardPool(
                         self.jobs, policy=self._policy, chaos=self._chaos
                     )
-                cache_root = (
-                    str(self._cache.root) if self._cache is not None else None
-                )
                 merged = self._pool.run(
                     [
                         shard.ShardItem(
@@ -471,41 +437,32 @@ class SweepEngine:
                 outcomes = [merged[digest] for digest, _spec in items]
             else:
                 outcomes = [
-                    self._execute_journalled(digest, spec)
+                    self._execute_journalled(digest, spec, cache_root)
                     for digest, spec in items
                 ]
-            for (digest, spec), (record, wall) in zip(items, outcomes):
+            for digest, (record, wall) in zip(pending, outcomes):
                 # The fresh path round-trips through the same record
                 # encoding as a cache hit, so both are value-identical.
                 self._memo[digest] = metrics_from_record(record)
                 self.stats.executed += 1
                 self.stats.executed_wall += wall
-                if self._cache is not None and not parallel:
-                    # Workers already persisted their own results on the
-                    # parallel path; only in-process execution writes here.
-                    self._cache.put(
-                        digest,
-                        _cache_entry(
-                            digest, self._fingerprint, spec, record, wall
-                        ),
-                    )
 
         return [self._memo[digest] for digest in digests]
 
     # ------------------------------------------------------------ journal
     def _execute_journalled(
-        self, digest: str, spec: CellSpec
+        self, digest: str, spec: CellSpec, cache_root: str | None
     ) -> tuple[dict[str, Any], float]:
-        """Serial execution with the same ledger transitions as a worker."""
+        """Serial execution with the same cache write and ledger
+        transitions as a pool worker."""
         if self._ledger is not None:
             self._ledger.append(ledger_module.DISPATCHED, item=digest, attempt=1)
-        record, wall = _execute_recorded(spec)
+        record, wall = _execute_to_cache(
+            spec, digest, self._fingerprint, cache_root
+        )
         if self._ledger is not None:
             self._ledger.append(
-                ledger_module.DONE,
-                item=digest,
-                record=record,
-                duration=round(wall, 6),
+                ledger_module.DONE, item=digest, duration=round(wall, 6)
             )
         return record, wall
 
@@ -522,12 +479,11 @@ class SweepEngine:
             )
         elif kind == "result":
             if info["status"] == "ok":
-                record, wall = info["payload"]
+                _record, wall = info["payload"]
                 self._ledger.append(
                     ledger_module.DONE,
                     item=info["item"],
                     worker=info["worker"],
-                    record=record,
                     duration=round(wall, 6),
                 )
             else:

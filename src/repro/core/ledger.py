@@ -8,11 +8,11 @@ mid-sweep.  One line per event:
 ``PENDING → DISPATCHED → DONE | FAILED | QUARANTINED``
 
 ``DISPATCHED`` repeats per attempt (carrying the worker id and attempt
-number), ``DONE`` carries the result record and its wall-clock duration,
-so a resumed run (``repro figures --resume``) can replay the journal,
-re-hydrate every finished item *from the ledger alone* — no cache
-required — and re-run only what was in flight or failed when the process
-died.
+number), ``DONE`` carries the wall-clock duration and worker.  The
+journal holds no results: the cache entry is written before ``DONE`` is
+appended, so rerunning a killed sweep answers every journalled-finished
+cell from the cache, and the journal stays an event log of where a
+sweep's time went.
 
 Crash consistency comes from the write discipline, not from locks: each
 event is a single ``os.write`` of one complete line to an ``O_APPEND``
@@ -31,8 +31,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
-#: Journal format version, stamped on every session-open marker.
-SCHEMA = "repro-ledger/1"
+#: Journal format version, stamped on every session-open marker; it
+#: changes whenever the event layout does, so a reader can tell layouts
+#: apart within one appended-to file.
+SCHEMA = "repro-ledger/2"
 
 #: Item states, in lifecycle order.
 PENDING = "PENDING"
@@ -41,13 +43,11 @@ DONE = "DONE"
 FAILED = "FAILED"
 QUARANTINED = "QUARANTINED"
 
-#: Session markers (no item attached): OPEN starts a fresh session,
-#: RESUME starts a session that replayed the journal first.
+#: Session marker (no item attached): OPEN starts one engine invocation.
 OPEN = "OPEN"
-RESUME = "RESUME"
 
 STATES = frozenset({PENDING, DISPATCHED, DONE, FAILED, QUARANTINED})
-MARKERS = frozenset({OPEN, RESUME})
+MARKERS = frozenset({OPEN})
 #: States that settle an item (no further transitions expected).
 TERMINAL = frozenset({DONE, FAILED, QUARANTINED})
 
@@ -61,14 +61,12 @@ class ExecutionLedger:
 
     Single-writer by design: the pool parent (or the serial engine loop)
     is the only appender, so event order in the file is authoritative
-    and no locking is needed.  ``fsync=False`` trades the per-event
-    fsync for speed when durability only needs to beat a clean exit
-    (tests); leave it on for anything a SIGKILL may interrupt.
+    and no locking is needed.  Every event is fsync'd before
+    :meth:`append` returns.
     """
 
-    def __init__(self, path: str | Path, fsync: bool = True) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.fsync = fsync
         self._fd: int | None = None
         self._seq = 0
 
@@ -98,7 +96,7 @@ class ExecutionLedger:
 
         ``state`` is one of :data:`STATES` (``item`` required) or
         :data:`MARKERS` (``item`` forbidden).  Extra ``fields`` (attempt,
-        worker, duration, record, error, ...) are stored verbatim;
+        worker, duration, error, ...) are stored verbatim;
         ``None`` values are dropped.
         """
         if state in STATES:
@@ -122,14 +120,13 @@ class ExecutionLedger:
         ).encode("utf-8")
         fd = self._descriptor()
         os.write(fd, line)
-        if self.fsync:
-            os.fsync(fd)
+        os.fsync(fd)
         self._seq += 1
         return entry
 
-    def open_session(self, resumed: bool = False, **fields: Any) -> dict:
+    def open_session(self, **fields: Any) -> dict:
         """Append the session marker that starts one engine invocation."""
-        return self.append(RESUME if resumed else OPEN, **fields)
+        return self.append(OPEN, **fields)
 
 
 # --------------------------------------------------------------- replay
@@ -143,8 +140,7 @@ class ItemState:
     attempts: int = 0
     worker: int | None = None
     duration: float | None = None
-    #: The DONE event's result record, or the FAILED/QUARANTINED error.
-    record: dict | None = None
+    #: The FAILED/QUARANTINED event's error.
     error: Any = None
 
     @property
@@ -170,17 +166,9 @@ class LedgerState:
     def done(self) -> list[str]:
         return self.by_state(DONE)
 
-    def done_records(self) -> dict[str, dict]:
-        """``{item: result record}`` of every finished item that has one."""
-        return {
-            key: state.record
-            for key, state in sorted(self.items.items())
-            if state.state == DONE and state.record is not None
-        }
-
     @property
     def unfinished(self) -> list[str]:
-        """Items seen but not settled — the resume work list."""
+        """Items seen but not settled when the journal ended."""
         return sorted(
             k for k, v in self.items.items() if v.state not in TERMINAL
         )
@@ -220,7 +208,7 @@ def iter_events(path: str | Path) -> Iterator[dict]:
 def replay_ledger(path: str | Path) -> LedgerState:
     """Fold the journal into per-item latest states.
 
-    A missing file replays to an empty state (nothing to resume).  The
+    A missing file replays to an empty state.  The
     torn-tail flag is set when the raw file does not end in a newline,
     whether or not the tail parsed.
     """
@@ -244,7 +232,6 @@ def replay_ledger(path: str | Path) -> LedgerState:
             current.attempts = int(entry.get("attempt", current.attempts + 1))
             current.worker = entry.get("worker", current.worker)
         elif kind == DONE:
-            current.record = entry.get("record")
             current.duration = entry.get("duration", current.duration)
             current.worker = entry.get("worker", current.worker)
         elif kind in (FAILED, QUARANTINED):

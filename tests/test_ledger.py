@@ -1,7 +1,6 @@
 """Execution-ledger contracts: append/replay round-trips, crash
 consistency (torn tails tolerated, mid-file corruption refused), and the
-resume bookkeeping (`done_records`, `unfinished`) the sweep engine's
-``--resume`` path is built on."""
+replay bookkeeping (`done`, `unfinished`) a sweep report reads."""
 
 import json
 
@@ -14,7 +13,6 @@ from repro.core.ledger import (
     OPEN,
     PENDING,
     QUARANTINED,
-    RESUME,
     SCHEMA,
     ExecutionLedger,
     LedgerError,
@@ -30,11 +28,11 @@ def _journal(tmp_path):
 class TestAppend:
     def test_round_trip_through_replay(self, tmp_path):
         path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
+        with ExecutionLedger(path) as ledger:
             ledger.open_session()
             ledger.append(PENDING, item="a")
             ledger.append(DISPATCHED, item="a", worker=0, attempt=1)
-            ledger.append(DONE, item="a", record={"makespan": 1.5}, duration=0.25)
+            ledger.append(DONE, item="a", worker=0, duration=0.25)
         state = replay_ledger(path)
         assert state.sessions == 1
         assert state.events == 4
@@ -44,12 +42,11 @@ class TestAppend:
         assert item.terminal
         assert item.attempts == 1
         assert item.worker == 0
-        assert item.record == {"makespan": 1.5}
         assert item.duration == 0.25
 
     def test_seq_is_monotonic_and_none_fields_dropped(self, tmp_path):
         path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
+        with ExecutionLedger(path) as ledger:
             ledger.append(PENDING, item="a", worker=None)
             ledger.append(PENDING, item="b")
         entries = list(iter_events(path))
@@ -57,7 +54,7 @@ class TestAppend:
         assert "worker" not in entries[0]
 
     def test_states_require_items_and_markers_refuse_them(self, tmp_path):
-        with ExecutionLedger(_journal(tmp_path), fsync=False) as ledger:
+        with ExecutionLedger(_journal(tmp_path)) as ledger:
             with pytest.raises(ValueError, match="need an item"):
                 ledger.append(DONE)
             with pytest.raises(ValueError, match="session marker"):
@@ -67,20 +64,20 @@ class TestAppend:
 
     def test_session_markers_carry_the_schema(self, tmp_path):
         path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
-            ledger.open_session()
-            ledger.open_session(resumed=True)
-        opened, resumed = iter_events(path)
+        with ExecutionLedger(path) as ledger:
+            ledger.open_session(fingerprint="abc")
+        (opened,) = iter_events(path)
         assert opened["state"] == OPEN and opened["schema"] == SCHEMA
-        assert resumed["state"] == RESUME and resumed["schema"] == SCHEMA
+        assert opened["fingerprint"] == "abc"
 
     def test_appends_survive_reopening(self, tmp_path):
-        """Two sequential writers (run, then resume) extend one journal."""
+        """Two sequential writers (a killed run, then its rerun) extend
+        one journal."""
         path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
+        with ExecutionLedger(path) as ledger:
             ledger.append(PENDING, item="a")
-        with ExecutionLedger(path, fsync=False) as ledger:
-            ledger.append(DONE, item="a", record={})
+        with ExecutionLedger(path) as ledger:
+            ledger.append(DONE, item="a")
         state = replay_ledger(path)
         assert state.done == ["a"]
         assert state.events == 2
@@ -95,9 +92,9 @@ class TestCrashConsistency:
         """A SIGKILL mid-append leaves a partial last line; replay keeps
         everything before it and flags the tear."""
         path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
+        with ExecutionLedger(path) as ledger:
             ledger.append(PENDING, item="a")
-            ledger.append(DONE, item="a", record={"makespan": 2.0})
+            ledger.append(DONE, item="a", duration=2.0)
         raw = path.read_bytes()
         path.write_bytes(raw + b'{"seq": 2, "state": "DIS')  # cut mid-write
         state = replay_ledger(path)
@@ -110,7 +107,7 @@ class TestCrashConsistency:
         two uncoordinated writers or disk damage, and replay must refuse
         to guess."""
         path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
+        with ExecutionLedger(path) as ledger:
             ledger.append(PENDING, item="a")
         raw = path.read_bytes()
         path.write_bytes(b"not json at all\n" + raw)
@@ -127,7 +124,7 @@ class TestCrashConsistency:
 class TestReplayBookkeeping:
     def test_latest_state_wins_and_attempts_accumulate(self, tmp_path):
         path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
+        with ExecutionLedger(path) as ledger:
             ledger.append(PENDING, item="a")
             ledger.append(DISPATCHED, item="a", worker=0, attempt=1)
             ledger.append(DISPATCHED, item="a", worker=2, attempt=2)
@@ -140,14 +137,15 @@ class TestReplayBookkeeping:
 
     def test_done_records_and_unfinished_partition_the_items(self, tmp_path):
         path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
-            ledger.append(DONE, item="done1", record={"v": 1})
-            ledger.append(DONE, item="done2", record={"v": 2})
+        with ExecutionLedger(path) as ledger:
+            ledger.append(DONE, item="done1", duration=1.0)
+            ledger.append(DONE, item="done2", duration=2.0)
             ledger.append(PENDING, item="never_started")
             ledger.append(DISPATCHED, item="in_flight", attempt=1)
             ledger.append(QUARANTINED, item="poison", error="killed workers")
         state = replay_ledger(path)
-        assert state.done_records() == {"done1": {"v": 1}, "done2": {"v": 2}}
+        assert state.done == ["done1", "done2"]
+        assert state.items["done2"].duration == 2.0
         assert state.unfinished == ["in_flight", "never_started"]
         assert state.by_state(QUARANTINED) == ["poison"]
         assert state.items["poison"].terminal

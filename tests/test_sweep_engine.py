@@ -27,6 +27,7 @@ from repro.core.experiments.engine import (
     execute_cell,
     model_fingerprint,
 )
+from repro.core.ledger import DISPATCHED, replay_ledger
 from repro.data import DatasetSpec
 from repro.hardware import StorageKind
 from repro.runtime import SchedulingPolicy
@@ -270,9 +271,9 @@ class TestSweepEngine:
         assert "evictions=0" in line and "hit_rate=50%" in line
 
     def test_ledger_resume_skips_finished_cells(self, tmp_path):
-        """The SIGKILL-recovery contract in miniature: a partial run
-        journals its cells, and a resumed engine answers exactly those
-        from the ledger (not the cache, not the simulator)."""
+        """The SIGKILL-recovery contract in miniature: rerunning a sweep
+        after a partial run answers every finished cell from the cache
+        and simulates only the rest; no flag is needed."""
         cells = cells_product(
             "kmeans", (4, 2), dataset_key="kmeans_100mb", n_clusters=10
         )
@@ -281,43 +282,45 @@ class TestSweepEngine:
             partial.run_cells(finished)
             assert partial.ledger_path == tmp_path / "ledger.jsonl"
 
-        with SweepEngine(jobs=1, cache_dir=tmp_path, resume=True) as resumed:
-            results = resumed.run_cells(cells)
-            assert resumed.stats.resumed == len(finished)
-            assert resumed.stats.cache_hits == 0
-            assert resumed.stats.executed == len(remaining)
+        with SweepEngine(jobs=1, cache_dir=tmp_path) as restarted:
+            results = restarted.run_cells(cells)
+            assert restarted.stats.cache_hits == len(finished)
+            assert restarted.stats.executed == len(remaining)
 
         assert results == SweepEngine.serial().run_cells(cells)
-
-    def test_resume_works_without_a_cache(self, tmp_path):
-        """DONE events carry the metrics record inline, so a bare ledger
-        (no cache at all) is enough to resume from."""
-        ledger_path = tmp_path / "journal.jsonl"
-        cell = small_cell()
-        with SweepEngine(jobs=1, cache=False, ledger_path=ledger_path) as first:
-            (expected,) = first.run_cells([cell])
-
-        with SweepEngine(
-            jobs=1, cache=False, ledger_path=ledger_path, resume=True
-        ) as again:
-            (got,) = again.run_cells([cell])
-            assert again.stats.resumed == 1
-            assert again.stats.executed == 0
-        assert got == expected
+        journal = replay_ledger(tmp_path / "ledger.jsonl")
+        assert journal.sessions == 2
+        assert journal.done == sorted(
+            cell_digest(spec, model_fingerprint()) for spec in cells
+        )
 
     def test_resumed_digest_repeats_count_as_dedup(self, tmp_path):
+        """A rerun with a finished cell listed twice: one cache hit,
+        then one dedup hit, nothing simulated."""
         cell = small_cell()
         with SweepEngine(jobs=1, cache_dir=tmp_path) as partial:
             partial.run_cells([cell])
-        with SweepEngine(jobs=1, cache_dir=tmp_path, resume=True) as resumed:
-            resumed.run_cells([cell, small_cell()])
-            assert resumed.stats.resumed == 1
-            assert resumed.stats.memo_hits == 1
-            assert resumed.stats.executed == 0
+        with SweepEngine(jobs=1, cache_dir=tmp_path) as rerun:
+            rerun.run_cells([cell, small_cell()])
+            assert rerun.stats.cache_hits == 1
+            assert rerun.stats.memo_hits == 1
+            assert rerun.stats.executed == 0
 
-    def test_resume_without_a_ledger_is_rejected(self):
-        with pytest.raises(ValueError, match="resume requires"):
-            SweepEngine(jobs=1, cache=False, resume=True)
+    def test_cache_entry_is_written_before_done(self, tmp_path, monkeypatch):
+        """A serial cell whose cache write fails is never journalled
+        DONE: the ledger cannot claim a result the cache does not hold."""
+        def failing_put(self, digest, record):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(SweepCache, "put", failing_put)
+        cell = small_cell()
+        with SweepEngine(jobs=1, cache_dir=tmp_path) as engine:
+            with pytest.raises(OSError, match="disk full"):
+                engine.run_cells([cell])
+        journal = replay_ledger(tmp_path / "ledger.jsonl")
+        digest = cell_digest(cell, model_fingerprint())
+        assert journal.items[digest].state == DISPATCHED
+        assert journal.done == []
 
     def test_cells_product_order_is_grid_major_cpu_first(self):
         cells = cells_product("matmul", (8, 4), dataset_key="matmul_128mb")
