@@ -3,15 +3,26 @@
 The figure experiments measure *simulated* time; this module measures the
 wall-clock cost of producing it, as a regression guard over the fast
 dispatch path (incremental ready sets, the per-node locality index,
-memoized cost-model evaluation).  A fixed three-workload matrix covers
-the hot paths with different shapes:
+memoized cost-model evaluation).  A fixed workload matrix covers the hot
+paths with different shapes:
 
 * ``matmul16`` — Matmul 16x16, the heaviest single configuration of the
   figure suite (7936 tasks, full storage contention);
+* ``matmul16_locality_local`` — the same DAG under the data-locality
+  policy on local disk, a Figure 10 cell whose ready queue runs hundreds
+  of tasks deep while every core is busy (guards the executor's skip of
+  ``select`` on a cluster with no free core);
+* ``matmul8_locality_gpu`` — the Figure 10 cell Matmul 8x8 on GPUs under
+  the data-locality policy on local disk: cores stay free while every
+  GPU is busy, so ``select`` still runs past a deep queue of GPU tasks
+  (guards the per-resource-key probe memo);
 * ``kmeans_deep`` — a deep K-means run (many short levels), stressing
   the completion-event path and the ready-set churn of iterative DAGs;
 * ``wide_dag`` — a seeded WfBench-style generated DAG with wide levels
-  under the data-locality policy, stressing placement scoring.
+  under the data-locality policy, stressing placement scoring (its ready
+  queue stays shallow, so it cannot catch a per-``select`` rescan);
+* ``plain_replay`` — a dependency-only DAG on a zero-latency cluster,
+  the event core and dispatch loop alone.
 
 ``run_bench`` returns a JSON-serialisable report and (optionally) writes
 it to ``BENCH_simulator.json``; ``benchmarks/test_simulator_performance.py``
@@ -29,6 +40,7 @@ from typing import Callable, Sequence
 
 from repro.algorithms import GeneratedDagWorkflow, KMeansWorkflow, MatmulWorkflow
 from repro.data import paper_datasets
+from repro.hardware import StorageKind
 from repro.runtime import Runtime, RuntimeConfig, SchedulingPolicy
 
 #: Report format version; bump when the JSON layout changes.
@@ -94,7 +106,7 @@ def plain_replay_config() -> RuntimeConfig:
     """
     import dataclasses
 
-    from repro.hardware import StorageKind, minotauro
+    from repro.hardware import minotauro
 
     cluster = dataclasses.replace(
         minotauro(num_nodes=8),
@@ -176,6 +188,9 @@ def bench_workloads() -> tuple[BenchWorkload, ...]:
     def matmul16(runtime: Runtime):
         return MatmulWorkflow(datasets["matmul_8gb"], grid=16).build(runtime)
 
+    def matmul8(runtime: Runtime):
+        return MatmulWorkflow(datasets["matmul_8gb"], grid=8).build(runtime)
+
     def kmeans_deep(runtime: Runtime):
         return KMeansWorkflow(
             datasets["kmeans_10gb"], grid_rows=64, n_clusters=10, iterations=8
@@ -192,6 +207,26 @@ def bench_workloads() -> tuple[BenchWorkload, ...]:
             description="Matmul 16x16 on CPUs with storage contention",
             build=matmul16,
             make_config=lambda: RuntimeConfig(use_gpu=False),
+        ),
+        BenchWorkload(
+            name="matmul16_locality_local",
+            description="Matmul 16x16 on CPUs, data locality, local disk",
+            build=matmul16,
+            make_config=lambda: RuntimeConfig(
+                use_gpu=False,
+                storage=StorageKind.LOCAL,
+                scheduling=SchedulingPolicy.DATA_LOCALITY,
+            ),
+        ),
+        BenchWorkload(
+            name="matmul8_locality_gpu",
+            description="Matmul 8x8 on GPUs, data locality, local disk",
+            build=matmul8,
+            make_config=lambda: RuntimeConfig(
+                use_gpu=True,
+                storage=StorageKind.LOCAL,
+                scheduling=SchedulingPolicy.DATA_LOCALITY,
+            ),
         ),
         BenchWorkload(
             name="kmeans_deep",
@@ -468,8 +503,6 @@ def sweep_bench_cells() -> list:
     stays in CI-friendly territory.
     """
     from repro.core.experiments.engine import CellSpec, cells_product
-    from repro.hardware import StorageKind
-    from repro.runtime import SchedulingPolicy
 
     cells = []
     cells += cells_product("matmul", (8, 4, 2), dataset_key="matmul_128mb")

@@ -181,6 +181,12 @@ def iter_events(path: str | Path) -> Iterator[dict]:
     (the signature of a write cut short by a kill); anywhere else it
     raises :class:`LedgerError`.
     """
+    for _line, entry in _numbered_events(path):
+        yield entry
+
+
+def _numbered_events(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """:func:`iter_events` with each event's 1-based line number."""
     try:
         raw = Path(path).read_bytes()
     except FileNotFoundError:
@@ -202,7 +208,7 @@ def iter_events(path: str | Path) -> Iterator[dict]:
             ) from error
         if not isinstance(entry, dict) or "state" not in entry:
             raise LedgerError(f"{path}: journal line {index + 1} is not an event")
-        yield entry
+        yield index + 1, entry
 
 
 def replay_ledger(path: str | Path) -> LedgerState:
@@ -210,19 +216,35 @@ def replay_ledger(path: str | Path) -> LedgerState:
 
     A missing file replays to an empty state.  The
     torn-tail flag is set when the raw file does not end in a newline,
-    whether or not the tail parsed.
+    whether or not the tail parsed.  An event whose state this schema
+    does not know (say, the ``RESUME`` marker of ``repro-ledger/1``
+    journals), or an item event without an item, raises
+    :class:`LedgerError` naming the line and the ``schema`` of the last
+    session marker.
     """
     state = LedgerState()
     try:
         state.torn = not Path(path).read_bytes().endswith(b"\n")
     except FileNotFoundError:
         return state
-    for entry in iter_events(path):
+    schema = None
+    for line, entry in _numbered_events(path):
         state.events += 1
         kind = entry["state"]
         if kind in MARKERS:
             state.sessions += 1
+            schema = entry.get("schema")
             continue
+        if kind not in STATES or "item" not in entry:
+            problem = (
+                f"unknown state {kind!r}"
+                if kind not in STATES
+                else f"{kind} event without an item"
+            )
+            raise LedgerError(
+                f"{path}: journal line {line}: {problem} "
+                f"(last session schema {schema!r}, this reader {SCHEMA!r})"
+            )
         item = str(entry["item"])
         current = state.items.get(item)
         if current is None:

@@ -201,6 +201,18 @@ class _ClusterView:
             return node
         return None
 
+    def any_free_core(self) -> bool:
+        """Whether some live, non-blacklisted node has a free core.
+
+        Every task needs at least one core, so when this is ``False`` no
+        policy can place anything and ``select`` need not be asked.
+        """
+        blacklist = self._blacklist
+        return any(
+            n.alive and n.cores.available >= 1 and n.index not in blacklist
+            for n in self._cluster.nodes
+        )
+
     def has_free_slot(self, node: int, needs_gpu: bool, ram_bytes: int = 0) -> bool:
         n = self._cluster.nodes[node]
         if not n.alive:
@@ -568,10 +580,9 @@ class SimulatedExecutor:
 
     def _dispatch_loop(self, ready_view, policy) -> Generator:
         """Interleaved dispatch: one decision, one latency yield, one launch."""
-        while True:
-            assignment = self.scheduler.select(
-                ready_view, self._view, self._task_on_gpu
-            )
+        view = self._view
+        while view.any_free_core():
+            assignment = self.scheduler.select(ready_view, view, self._task_on_gpu)
             if assignment is None:
                 break
             task = assignment.task

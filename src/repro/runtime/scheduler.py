@@ -134,6 +134,10 @@ class GenerationOrderScheduler(Scheduler):
     def __init__(self) -> None:
         self._next_node = 0
 
+    def _head(self, ready: Sequence[Task]) -> Task:
+        """The ready task this policy dispatches next."""
+        return ready[0]
+
     def select(
         self,
         ready: Sequence[Task],
@@ -142,7 +146,7 @@ class GenerationOrderScheduler(Scheduler):
     ) -> Assignment | None:
         if not ready:
             return None
-        task = ready[0]
+        task = self._head(ready)
         n = cluster.num_nodes()
         for offset in range(n):
             node = (self._next_node + offset) % n
@@ -152,30 +156,13 @@ class GenerationOrderScheduler(Scheduler):
         return None
 
 
-class LifoScheduler(Scheduler):
+class LifoScheduler(GenerationOrderScheduler):
     """Dispatch the most recently generated ready task first."""
 
     policy = SchedulingPolicy.LIFO
 
-    def __init__(self) -> None:
-        self._next_node = 0
-
-    def select(
-        self,
-        ready: Sequence[Task],
-        cluster: ClusterView,
-        requires_gpu: GpuPredicate,
-    ) -> Assignment | None:
-        if not ready:
-            return None
-        task = ready[len(ready) - 1]
-        n = cluster.num_nodes()
-        for offset in range(n):
-            node = (self._next_node + offset) % n
-            if node_usable(cluster, node, requires_gpu(task), task_ram_bytes(task)):
-                self._next_node = (node + 1) % n
-                return Assignment(task=task, node=node)
-        return None
+    def _head(self, ready: Sequence[Task]) -> Task:
+        return ready[len(ready) - 1]
 
 
 class DataLocalityScheduler(Scheduler):
@@ -196,6 +183,13 @@ class DataLocalityScheduler(Scheduler):
     O(1) scores per ``(task, node)`` pair; views exposing only a
     ``resident_node`` resolver get an O(inputs) sum; bare stubs fall back
     to ``home_node``.
+
+    One call probes each resource key ``(needs_gpu, ram_bytes)`` of the
+    ready queue against every node once: a call costs O(ready) key
+    lookups plus O(keys × nodes) probes, not O(ready × nodes) probes.
+    That pays off when cores are free but GPUs or RAM are not — e.g. GPU
+    runs whose ready queue holds hundreds of GPU tasks while every GPU
+    is busy; a cluster without a free core never reaches ``select``.
     """
 
     policy = SchedulingPolicy.DATA_LOCALITY
@@ -212,19 +206,27 @@ class DataLocalityScheduler(Scheduler):
         n = cluster.num_nodes()
         index = getattr(cluster, "locality_index", None)
         resolve = getattr(cluster, "resident_node", None)
+        # Cluster state cannot change within one call, so each resource
+        # key's usable nodes are probed once, in round-robin cursor order;
+        # a task whose key fits nowhere is skipped without probing.
+        rotated = [(self._next_node + offset) % n for offset in range(n)]
+        usable_by_key: dict[tuple[bool, int], list[int]] = {}
         for task in ready:
-            best_node: int | None = None
+            key = (requires_gpu(task), task_ram_bytes(task))
+            usable = usable_by_key.get(key)
+            if usable is None:
+                usable = usable_by_key[key] = [
+                    node for node in rotated if node_usable(cluster, node, *key)
+                ]
+            if not usable:
+                continue
+            best_node = usable[0]
             best_bytes = -1
-            needs_gpu = requires_gpu(task)
-            ram_bytes = task_ram_bytes(task)
             by_node = index.bytes_map(task.task_id) if index is not None else None
-            for offset in range(n):
-                # Scanning from the round-robin cursor with a strict ">"
-                # makes the first usable node win ties, rotating tied
-                # placements across the cluster.
-                node = (self._next_node + offset) % n
-                if not node_usable(cluster, node, needs_gpu, ram_bytes):
-                    continue
+            for node in usable:
+                # A strict ">" over cursor order makes the first usable
+                # node win ties, rotating tied placements across the
+                # cluster.
                 if by_node is not None:
                     local_bytes = by_node.get(node, 0)
                 elif resolve is not None:
@@ -242,9 +244,8 @@ class DataLocalityScheduler(Scheduler):
                 if local_bytes > best_bytes:
                     best_bytes = local_bytes
                     best_node = node
-            if best_node is not None:
-                self._next_node = (best_node + 1) % n
-                return Assignment(task=task, node=best_node)
+            self._next_node = (best_node + 1) % n
+            return Assignment(task=task, node=best_node)
         return None
 
 

@@ -184,7 +184,14 @@ class TestBench:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["schema"] == "repro-bench/1"
         names = [row["name"] for row in report["workloads"]]
-        assert names == ["matmul16", "kmeans_deep", "wide_dag", "plain_replay"]
+        assert names == [
+            "matmul16",
+            "matmul16_locality_local",
+            "matmul8_locality_gpu",
+            "kmeans_deep",
+            "wide_dag",
+            "plain_replay",
+        ]
         for row in report["workloads"]:
             assert row["num_tasks"] > 0
             assert row["tasks_per_second"] > 0

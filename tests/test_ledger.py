@@ -149,3 +149,43 @@ class TestReplayBookkeeping:
         assert state.unfinished == ["in_flight", "never_started"]
         assert state.by_state(QUARANTINED) == ["poison"]
         assert state.items["poison"].terminal
+
+
+class TestForeignEvents:
+    """Events this schema does not know are refused, not half-replayed."""
+
+    def test_v1_resume_marker_raises_ledger_error(self, tmp_path):
+        # A journal as the repro-ledger/1 writer left it: a finished
+        # session, then a RESUME session marker (which carries no item).
+        path = _journal(tmp_path)
+        v1 = [
+            {"seq": 0, "state": "OPEN", "schema": "repro-ledger/1", "jobs": 1},
+            {"seq": 1, "state": "PENDING", "item": "a"},
+            {"seq": 2, "state": "DISPATCHED", "item": "a", "attempt": 1},
+            {"seq": 3, "state": "DONE", "item": "a", "record": {"ok": True}},
+            {"seq": 0, "state": "RESUME", "schema": "repro-ledger/1", "jobs": 1},
+            {"seq": 1, "state": "PENDING", "item": "b"},
+        ]
+        path.write_text("".join(json.dumps(e) + "\n" for e in v1))
+        with pytest.raises(LedgerError) as raised:
+            replay_ledger(path)
+        message = str(raised.value)
+        assert "journal line 5" in message
+        assert "'RESUME'" in message
+        assert "repro-ledger/1" in message
+
+    def test_item_event_without_item_raises(self, tmp_path):
+        path = _journal(tmp_path)
+        with ExecutionLedger(path) as ledger:
+            ledger.open_session(jobs=1)
+        with path.open("a") as journal:
+            journal.write(json.dumps({"seq": 1, "state": DONE}) + "\n")
+        expected = f"line 2: DONE event without an item.*{SCHEMA}"
+        with pytest.raises(LedgerError, match=expected):
+            replay_ledger(path)
+
+    def test_unknown_state_before_any_session_marker(self, tmp_path):
+        path = _journal(tmp_path)
+        path.write_text(json.dumps({"seq": 0, "state": "BOGUS", "item": "a"}) + "\n")
+        with pytest.raises(LedgerError, match="line 1: unknown state 'BOGUS'.*None"):
+            replay_ledger(path)

@@ -197,3 +197,93 @@ class TestLifo:
             ref = rt.register_input(10**6, name=f"in{i}")
             rt.submit(name="w", inputs=[ref], cost=cost)
         assert len(rt.run().trace.tasks) == 20
+
+
+class _FreeCoreGuard:
+    """Wraps a policy and asserts each ``select`` call could place a task.
+
+    The dispatcher may only ask when some live, non-blacklisted node has
+    a free core; on a full cluster every policy returns ``None``, so the
+    call is skipped.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self.saw_blacklist = False
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def select(self, ready, cluster, requires_gpu):
+        nodes = range(cluster.num_nodes())
+        blacklisted = [node for node in nodes if cluster.is_blacklisted(node)]
+        # With one core per CPU task, a zero-RAM CPU probe is exactly
+        # "alive and one core free", asked through the view's own API.
+        assert any(
+            cluster.has_free_slot(node, needs_gpu=False)
+            for node in nodes
+            if node not in blacklisted
+        ), "select asked on a cluster with no free core"
+        self.calls += 1
+        self.saw_blacklist |= bool(blacklisted)
+        return self.inner.select(ready, cluster, requires_gpu)
+
+
+class TestExecutorSkipsFullCluster:
+    """The executor skips ``select`` when no node has a free core, and the
+    skip leaves every placement, and so the trace digest, unchanged."""
+
+    @staticmethod
+    def _run(config, build, monkeypatch=None):
+        """Run once; with ``monkeypatch``, behind a :class:`_FreeCoreGuard`.
+
+        Returns the trace digest and the guards that were installed.
+        """
+        from repro.runtime import Runtime
+        from repro.runtime.backends import simulated
+        from repro.tracing import trace_digest
+
+        guards = []
+        if monkeypatch is not None:
+            def guarded(policy):
+                guards.append(_FreeCoreGuard(make_scheduler(policy)))
+                return guards[-1]
+
+            monkeypatch.setattr(simulated, "make_scheduler", guarded)
+        runtime = Runtime(config)
+        build(runtime)
+        result = runtime.run()
+        return trace_digest(result.trace, result.failed_task_ids), guards
+
+    def test_fig10_matmul8_locality_local_disk(self, monkeypatch):
+        from repro.algorithms import MatmulWorkflow
+        from repro.data import paper_datasets
+        from repro.hardware import StorageKind, minotauro
+        from repro.runtime import RuntimeConfig
+
+        config = RuntimeConfig(
+            cluster=minotauro(),
+            storage=StorageKind.LOCAL,
+            scheduling=SchedulingPolicy.DATA_LOCALITY,
+            use_gpu=False,
+        )
+
+        def build(runtime):
+            MatmulWorkflow(paper_datasets()["matmul_8gb"], grid=8).build(runtime)
+
+        plain, _ = self._run(config, build)
+        guarded, guards = self._run(config, build, monkeypatch)
+        assert guarded == plain
+        assert len(guards) == 1 and guards[0].calls >= 8 * 8 * 8
+
+    def test_fault_cell_with_blacklisted_node(self, monkeypatch):
+        from tests.golden_matrix import golden_cases
+
+        case = next(
+            c for c in golden_cases() if c.key == "wide16|data_locality|faults"
+        )
+        plain, _ = self._run(case.config, case.build)
+        guarded, guards = self._run(case.config, case.build, monkeypatch)
+        assert guarded == plain
+        assert len(guards) == 1 and guards[0].saw_blacklist

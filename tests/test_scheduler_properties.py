@@ -11,6 +11,10 @@ contracts every policy must honour:
 * ``DataLocalityScheduler`` breaks all-zero locality ties round-robin
   instead of piling every tie onto node 0 (regression for the
   tie-breaking fix);
+* ``DataLocalityScheduler.select`` — which probes each resource key's
+  nodes once per call — agrees with a nested ready x nodes scan over
+  whole select sequences, and a cluster with free cores but busy GPUs
+  costs it one probe per (key, node) pair;
 * the fast dispatch path's incrementally maintained state — the ready
   queue, the GPU-intended counter, and the per-node
   :class:`~repro.runtime.locality.LocalityIndex` — equals a from-scratch
@@ -20,6 +24,8 @@ contracts every policy must honour:
   residency, so a stale ``home_node`` (block moved or evicted since the
   ref was written) earns no credit.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,20 +38,29 @@ from repro.runtime import DataRef, Runtime, RuntimeConfig, SchedulingPolicy, Tas
 from repro.runtime.backends.simulated import SimulatedExecutor
 from repro.runtime.locality import LocalityIndex
 from repro.runtime.scheduler import (
+    Assignment,
     DataLocalityScheduler,
     GenerationOrderScheduler,
     LifoScheduler,
     make_scheduler,
+    node_usable,
+    task_ram_bytes,
 )
 
 
 class FakeCluster:
-    """A ClusterView stub with per-node availability and a blacklist."""
+    """A ClusterView stub with per-node cores, GPUs, RAM and a blacklist.
 
-    def __init__(self, free_cores, free_gpus=None, blacklist=()):
+    ``free_ram`` defaults to unlimited; ``probes`` counts every
+    ``has_free_slot`` call.
+    """
+
+    def __init__(self, free_cores, free_gpus=None, blacklist=(), free_ram=None):
         self.free_cores = list(free_cores)
         self.free_gpus = list(free_gpus or [1] * len(free_cores))
+        self.free_ram = list(free_ram or [float("inf")] * len(free_cores))
         self.blacklist = set(blacklist)
+        self.probes = 0
 
     def num_nodes(self):
         return len(self.free_cores)
@@ -54,14 +69,17 @@ class FakeCluster:
         return node in self.blacklist
 
     def has_free_slot(self, node, needs_gpu, ram_bytes=0):
+        self.probes += 1
         if self.free_cores[node] < 1:
             return False
         if needs_gpu and self.free_gpus[node] < 1:
             return False
+        if ram_bytes > self.free_ram[node]:
+            return False
         return True
 
 
-def _task(task_id, input_homes=()):
+def _task(task_id, input_homes=(), ram_bytes=0):
     cost = TaskCost(
         serial_flops=1.0,
         parallel_flops=0.0,
@@ -71,6 +89,7 @@ def _task(task_id, input_homes=()):
         output_bytes=10,
         host_device_bytes=0,
         gpu_memory_bytes=0,
+        host_memory_bytes=ram_bytes,
     )
     return Task(
         task_id=task_id,
@@ -280,6 +299,178 @@ def test_index_scores_win_over_both_home_and_resolver():
     choice = DataLocalityScheduler().select([task], cluster, _never_gpu)
     assert choice is not None
     assert choice.node == 2
+
+
+# ------------------------------------------------------ nested-scan oracle
+
+
+class NestedScanLocalityScheduler(DataLocalityScheduler):
+    """The data-locality policy as a plain ready x nodes scan.
+
+    Every ready task re-probes every node.  It is the oracle that the
+    per-resource-key memo of :meth:`DataLocalityScheduler.select` must
+    agree with, assignment for assignment and cursor for cursor.
+    """
+
+    def select(self, ready, cluster, requires_gpu):
+        n = cluster.num_nodes()
+        index = getattr(cluster, "locality_index", None)
+        resolve = getattr(cluster, "resident_node", None)
+        for task in ready:
+            best_node = None
+            best_bytes = -1
+            needs_gpu = requires_gpu(task)
+            ram_bytes = task_ram_bytes(task)
+            by_node = index.bytes_map(task.task_id) if index is not None else None
+            for offset in range(n):
+                node = (self._next_node + offset) % n
+                if not node_usable(cluster, node, needs_gpu, ram_bytes):
+                    continue
+                if by_node is not None:
+                    local_bytes = by_node.get(node, 0)
+                elif resolve is not None:
+                    local_bytes = sum(
+                        ref.size_bytes for ref in task.inputs if resolve(ref) == node
+                    )
+                else:
+                    local_bytes = sum(
+                        ref.size_bytes for ref in task.inputs if ref.home_node == node
+                    )
+                if local_bytes > best_bytes:
+                    best_bytes = local_bytes
+                    best_node = node
+            if best_node is not None:
+                self._next_node = (best_node + 1) % n
+                return Assignment(task=task, node=best_node)
+        return None
+
+
+RAM_SIZES = (0, 100, 300)
+
+
+@st.composite
+def select_sequences(draw):
+    """A random cluster, ready queue, scoring variant and op sequence."""
+    n = draw(st.integers(1, 6))
+    nodes = st.integers(0, n - 1)
+    cluster_args = dict(
+        free_cores=draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+        free_gpus=draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+        free_ram=draw(
+            st.lists(st.sampled_from((0, 100, 200, 400)), min_size=n, max_size=n)
+        ),
+        blacklist=draw(st.sets(nodes, max_size=n)),
+    )
+    task_args = st.tuples(st.lists(nodes, max_size=3), st.sampled_from(RAM_SIZES))
+    ready = draw(st.lists(task_args, max_size=12))
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.just(("select",)),
+                st.tuples(st.just("release"), nodes),
+                st.tuples(st.just("blacklist"), nodes),
+                st.tuples(st.just("reboot"), nodes),
+                st.tuples(st.just("arrive"), task_args),
+            ),
+            max_size=30,
+        )
+    )
+    gpu_ids = draw(st.sets(st.integers(0, 40)))
+    scoring = draw(st.sampled_from(("index", "resolver", "home")))
+    # Resolver and index variants see some blocks moved or lost.
+    moved = draw(st.dictionaries(nodes, st.one_of(st.none(), nodes)))
+    return n, cluster_args, ready, ops, gpu_ids, scoring, moved
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=select_sequences())
+def test_locality_select_equals_nested_scan_oracle(case):
+    # Over a whole sequence of selects interleaved with dispatches,
+    # releases, blacklisting and arrivals, the memoised select and the
+    # nested-scan oracle make the same assignments and move the cursor
+    # the same way, under every scoring source.
+    n, cluster_args, ready_args, ops, gpu_ids, scoring, moved = case
+
+    def resolve(ref):
+        return moved.get(ref.home_node, ref.home_node)
+
+    if scoring == "home":
+        cluster = FakeCluster(**cluster_args)
+    else:
+        cluster = ResolvingCluster(residency=resolve, **cluster_args)
+    index = LocalityIndex() if scoring == "index" else None
+    if index is not None:
+        cluster.locality_index = index
+
+    ready = []
+    task_ids = itertools.count()
+
+    def arrive(homes, ram_bytes):
+        task = _task(next(task_ids), input_homes=homes, ram_bytes=ram_bytes)
+        ready.append(task)
+        if index is not None:
+            index.add(task, resolve)
+
+    for homes, ram_bytes in ready_args:
+        arrive(homes, ram_bytes)
+
+    def requires_gpu(task):
+        return task.task_id % 41 in gpu_ids
+
+    memo, oracle = DataLocalityScheduler(), NestedScanLocalityScheduler()
+    for op in ops + [("select",)]:
+        if op[0] == "select":
+            got = memo.select(ready, cluster, requires_gpu)
+            want = oracle.select(ready, cluster, requires_gpu)
+            assert got == want
+            assert memo._next_node == oracle._next_node
+            if got is None:
+                continue
+            task, node = got.task, got.node
+            cluster.free_cores[node] -= 1
+            if requires_gpu(task):
+                cluster.free_gpus[node] -= 1
+            cluster.free_ram[node] -= task_ram_bytes(task)
+            ready.remove(task)
+            if index is not None:
+                index.discard(task.task_id)
+        elif op[0] == "release":
+            cluster.free_cores[op[1]] += 1
+            cluster.free_gpus[op[1]] += 1
+            cluster.free_ram[op[1]] += 100
+        elif op[0] == "blacklist":
+            cluster.blacklist.add(op[1])
+        elif op[0] == "reboot":
+            cluster.blacklist.discard(op[1])
+        else:
+            arrive(*op[1])
+
+
+def test_busy_gpus_select_probes_each_key_once():
+    # Every node has free cores but no free GPU -- a cluster the executor
+    # still hands to select.  500 ready GPU tasks in two RAM keys, then
+    # one CPU task: one select probes each of the three keys' nodes once
+    # (24 probes) and places the CPU task, where the nested scan probes
+    # every (task, node) pair (4,008).
+    ready = [
+        _task(i, input_homes=[i % 8], ram_bytes=(i % 2) * 100) for i in range(500)
+    ]
+    ready.append(_task(500, input_homes=[3]))
+
+    def gpu_tasks(task):
+        return task.task_id < 500
+
+    cluster = FakeCluster([4] * 8, free_gpus=[0] * 8)
+    assert DataLocalityScheduler().select(ready, cluster, gpu_tasks) == Assignment(
+        task=ready[-1], node=3
+    )
+    assert cluster.probes <= 24
+
+    cluster = FakeCluster([4] * 8, free_gpus=[0] * 8)
+    assert NestedScanLocalityScheduler().select(
+        ready, cluster, gpu_tasks
+    ) == Assignment(task=ready[-1], node=3)
+    assert cluster.probes == 4008
 
 
 # ------------------------------------------------- locality-index equivalence
