@@ -106,8 +106,9 @@ class SimEngine:
         *args: Any,
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        # ``not delay >= 0`` also rejects NaN, which would make the clock NaN.
+        if not delay >= 0:
+            raise SimulationError(f"delay must be a non-negative number, got {delay}")
         # The entry itself carries the monotonic sequence number that
         # makes same-time orderings total and FIFO.
         event = ScheduledEvent(

@@ -14,7 +14,9 @@ Two resource flavours cover everything the cluster model needs:
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import deque
+from operator import attrgetter
 from typing import Callable
 
 from repro.sim.engine import SimulationError, Simulator
@@ -121,24 +123,27 @@ class _TransferJob:
     """A job in flight on a :class:`BandwidthResource`.
 
     The completion threshold ``max(eps_t * bandwidth, eps_b * size)`` is
-    precomputed at submit time: recomputing it for every job on every
-    completion event was the single hottest expression of a full DAG
-    replay under the removed legacy rescan, and hoisting it keeps the
-    per-scan work to one attribute compare per job.  The values are
-    identical to what the legacy scan produced (same expression, same
-    float64 inputs), so completion times — and therefore traces — still
-    match the recorded reference-kernel oracle digests bit for bit.
+    precomputed at submit time, so a completion scan costs one attribute
+    compare per candidate job.  ``seq`` numbers jobs in the order they
+    started; finished jobs fire their callbacks in that order, which is
+    the order the recorded reference-kernel oracle digests were produced
+    under.
     """
 
-    __slots__ = ("size", "remaining", "threshold", "callback")
+    __slots__ = ("size", "remaining", "threshold", "callback", "seq")
 
     def __init__(
-        self, nbytes: float, threshold: float, callback: Callable[[], None]
+        self, nbytes: float, threshold: float, callback: Callable[[], None], seq: int
     ) -> None:
         self.size = float(nbytes)
         self.remaining = float(nbytes)
         self.threshold = threshold
         self.callback = callback
+        self.seq = seq
+
+
+_REMAINING = attrgetter("remaining")
+_SEQ = attrgetter("seq")
 
 
 class BandwidthResource:
@@ -153,11 +158,17 @@ class BandwidthResource:
     ``latency`` is a fixed per-job startup delay (seek/RTT) applied before the
     job starts consuming bandwidth.
 
-    The settle path precomputes each job's completion threshold at submit
-    time and scans with a single-pass partition.  It performs the same
-    sequence of IEEE-754 float64 operations the removed legacy rescan
-    did, so completion times — and therefore traces — stay bit-identical
-    to the recorded reference-kernel oracle digests.
+    In-flight jobs are kept sorted ascending by remaining volume.  A settle
+    subtracts the same ``progressed`` from every job, and IEEE-754
+    subtraction is monotone (``a <= b`` implies ``fl(a - p) <= fl(b - p)``),
+    so the order survives every settle without re-sorting.  The leader is
+    therefore ``_jobs[0]``, and a completion scan stops at the first job
+    whose remaining volume exceeds the largest threshold ever submitted.
+    The settle loop is the one pass over every job left per clock-advancing
+    event.  Each job still sees the same float64 operations in the same
+    order as under a full rescan, so completion times — and therefore
+    traces — stay bit-identical to the recorded reference-kernel oracle
+    digests.
     """
 
     def __init__(
@@ -168,18 +179,34 @@ class BandwidthResource:
         per_job_cap: float | None = None,
         latency: float = 0.0,
     ) -> None:
-        if bandwidth <= 0:
-            raise SimulationError(f"bandwidth must be positive, got {bandwidth}")
-        if per_job_cap is not None and per_job_cap <= 0:
-            raise SimulationError(f"per_job_cap must be positive, got {per_job_cap}")
-        if latency < 0:
-            raise SimulationError(f"latency must be non-negative, got {latency}")
+        # The chained ``not 0 < x < inf`` form rejects NaN and infinity too:
+        # either one makes the clock NaN and the completion event re-fire
+        # forever.
+        if not 0 < bandwidth < math.inf:
+            raise SimulationError(
+                f"bandwidth must be finite and positive, got {bandwidth}"
+            )
+        if per_job_cap is not None and not 0 < per_job_cap < math.inf:
+            raise SimulationError(
+                f"per_job_cap must be finite and positive, got {per_job_cap}"
+            )
+        if not 0 <= latency < math.inf:
+            raise SimulationError(
+                f"latency must be finite and non-negative, got {latency}"
+            )
         self._sim = sim
         self.bandwidth = float(bandwidth)
         self.per_job_cap = per_job_cap
         self.latency = latency
         self.name = name
+        # Sorted ascending by ``remaining`` (see the class docstring).
         self._jobs: list[_TransferJob] = []
+        # Per-job rate for the current job count, set by ``_reschedule``.
+        self._rate = 0.0
+        # Largest threshold ever submitted: an upper bound on every in-flight
+        # job's threshold, so no job past it in ``_jobs`` can be finished.
+        self._tmax = 0.0
+        self._next_seq = 0
         self._last_update = sim.now
         self._completion_event = None
         self._bytes_done = 0.0
@@ -202,17 +229,14 @@ class BandwidthResource:
 
     def current_rate(self) -> float:
         """Per-job byte rate at this instant (0 when idle)."""
-        if not self._jobs:
-            return 0.0
-        share = self.bandwidth / len(self._jobs)
-        if self.per_job_cap is not None:
-            share = min(share, self.per_job_cap)
-        return share
+        return self._rate
 
     def submit(self, nbytes: float, callback: Callable[[], None]) -> None:
         """Transfer ``nbytes`` and invoke ``callback`` on completion."""
-        if nbytes < 0:
-            raise SimulationError(f"transfer size must be non-negative, got {nbytes}")
+        if not 0 <= nbytes < math.inf:
+            raise SimulationError(
+                f"transfer size must be finite and non-negative, got {nbytes}"
+            )
         if self.latency > 0:
             self._sim.schedule(self.latency, self._start_job, nbytes, callback)
         else:
@@ -228,74 +252,100 @@ class BandwidthResource:
             _TIME_EPSILON * self.bandwidth,
             _RELATIVE_BYTE_EPSILON * float(nbytes),
         )
-        self._jobs.append(_TransferJob(nbytes, threshold, callback))
+        if threshold > self._tmax:
+            self._tmax = threshold
+        insort(
+            self._jobs,
+            _TransferJob(nbytes, threshold, callback, self._next_seq),
+            key=_REMAINING,
+        )
+        self._next_seq += 1
         if len(self._jobs) > self._peak_jobs:
             self._peak_jobs = len(self._jobs)
         self._reschedule()
 
     def _settle(self) -> None:
         """Advance all in-flight jobs to the current time at the old rate."""
-        elapsed = self._sim.now - self._last_update
+        now = self._sim.now
+        elapsed = now - self._last_update
         if elapsed > 0 and self._jobs:
-            progressed = self.current_rate() * elapsed
+            progressed = self._rate * elapsed
             for job in self._jobs:
                 job.remaining -= progressed
-        self._last_update = self._sim.now
+        self._last_update = now
 
     def _reschedule(self) -> None:
-        """(Re)arm the completion event for the job finishing soonest."""
+        """Set the per-job rate, then (re)arm the leader's completion event.
+
+        Every change of the job count is followed by a call here, so the
+        rate ``_settle`` reads is always the one for the current count.
+        """
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
         jobs = self._jobs
         if not jobs:
+            self._rate = 0.0
             return
-        rate = self.current_rate()
-        soonest = min(job.remaining for job in jobs)
-        delay = max(soonest / rate, 0.0)
+        rate = self.bandwidth / len(jobs)
+        if self.per_job_cap is not None:
+            rate = min(rate, self.per_job_cap)
+        self._rate = rate
+        delay = max(jobs[0].remaining / rate, 0.0)
         self._completion_event = self._sim.schedule(delay, self._complete_due)
 
     def _complete_due(self) -> None:
-        """Completion scan: threshold partition, then fire callbacks.
+        """Completion scan over the sorted prefix, then fire callbacks.
 
         Decision sequence — threshold scan, ULP-resolution fallback, drop
         finished jobs *before* firing callbacks (completion callbacks
-        resume processes synchronously and may re-submit).  The
-        ULP fallback is a numerical guard: settle() round-off can leave
-        the leader with a residue whose drain time is below the clock's
-        resolution at the current simulated time — the event would
-        re-fire at the same instant forever, so such jobs are treated as
-        complete.  Finished jobs keep insertion order, preserving the
-        callback order the recorded oracle digests were produced under.
+        resume processes synchronously and may re-submit).  Only the
+        prefix with ``remaining <= _tmax`` can hold a job at or below its
+        threshold, so the threshold scan stops there.  The ULP fallback
+        is a numerical guard: settle() round-off can leave the leader
+        with a residue whose drain time is below the clock's resolution
+        at the current simulated time — the event would re-fire at the
+        same instant forever, so such jobs are treated as complete.
+        Dividing by one positive rate is monotone, so those jobs form a
+        prefix too.  Finished jobs fire in start order (``seq``).
         """
         self._completion_event = None
         self._settle()
+        jobs = self._jobs
+        tmax = self._tmax
         finished: list[_TransferJob] = []
         survivors: list[_TransferJob] = []
-        for job in self._jobs:
+        end = 0
+        for job in jobs:
+            if job.remaining > tmax:
+                break
+            end += 1
             if job.remaining <= job.threshold:
                 finished.append(job)
             else:
                 survivors.append(job)
         if not finished:
-            rate = self.current_rate()
+            rate = self._rate
             if rate > 0:
                 resolution = 4.0 * math.ulp(max(self._sim.now, 1.0))
+                end = 0
+                for job in jobs:
+                    if job.remaining / rate > resolution:
+                        break
+                    end += 1
+                finished = jobs[:end]
                 survivors = []
-                for job in self._jobs:
-                    if job.remaining / rate <= resolution:
-                        finished.append(job)
-                    else:
-                        survivors.append(job)
             if not finished:
                 self._reschedule()
                 return
-        self._jobs = survivors
+        jobs[:end] = survivors
         self._reschedule()
+        if len(finished) > 1:
+            finished.sort(key=_SEQ)
         self._fire_completions(finished)
 
     def _fire_completions(self, finished: list) -> None:
-        """Invoke completion callbacks in insertion order."""
+        """Invoke completion callbacks in start order."""
         for job in finished:
             self._bytes_done += job.size
             job.callback()

@@ -36,6 +36,16 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Simulator().schedule(-0.1, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        # A NaN delay would make the clock NaN; the check must not be
+        # written as ``delay < 0``, which NaN passes.
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
     def test_schedule_at_absolute_time(self):
         sim = Simulator()
         seen = []

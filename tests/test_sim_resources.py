@@ -168,6 +168,29 @@ class TestBandwidthResource:
         with pytest.raises(SimulationError):
             BandwidthResource(sim, 10.0, latency=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_construction_rejected(self, bad):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            BandwidthResource(sim, bad)
+        with pytest.raises(SimulationError):
+            BandwidthResource(sim, 10.0, per_job_cap=bad)
+        with pytest.raises(SimulationError):
+            BandwidthResource(sim, 10.0, latency=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("latency", [0.0, 1.0])
+    def test_non_finite_size_rejected_at_submit(self, bad, latency):
+        # A NaN size used to livelock ``run``: the clock became NaN and the
+        # completion event re-fired forever.  The rejection must happen at
+        # submit, so nothing is left queued to run.
+        sim = Simulator()
+        res = BandwidthResource(sim, 100.0, latency=latency)
+        with pytest.raises(SimulationError):
+            res.submit(bad, lambda: None)
+        assert sim.pending_events == 0
+        assert res.active_jobs == 0
+
     def test_many_unequal_jobs_complete_in_size_order(self):
         sim = Simulator()
         res = BandwidthResource(sim, 60.0)
